@@ -454,10 +454,13 @@ runFcLayer(unsigned inputs, unsigned outputs, double row_fraction,
         acc.outBegin = a * chunk_total;
         acc.outEnd = (a + 1) * chunk_total;
         acc.chunk = chunk;
-        // Left-column vaults: one per torus row -> vaults 0, 8, 16, 24.
-        const unsigned vault = (a % 8) * 4 / 8 * 8 + (a / 8) * 8 % 32;
-        const unsigned pe = (vault % 32) * pes_per_vault + (a % 4);
-        sim.loadProgram(pe % sys.numPes(), genFcAccum(acc));
+        // Accumulators 0..15 run on the left-column vaults, one per
+        // torus row (0, 8, 16, 24), four PEs each; 16..31 run one vault
+        // column over (1, 9, 17, 25), so each has a PE of its own.
+        const unsigned s = a % 16;
+        const unsigned vault = ((s % 8) / 2 * 8 + (s / 8) * 8) % 32 + a / 16;
+        const unsigned pe = vault * pes_per_vault + (a % 4);
+        sim.loadProgram(pe, genFcAccum(acc));
     }
     cycles = sim.run().cycles;
 

@@ -50,6 +50,8 @@ VaultController::enqueue(std::unique_ptr<MemRequest> req)
     trans_[slot].live = true;
     trans_[slot].pendingColumns = 0;
     splitIntoColumns(slot);
+    // Input edge: the new accesses may issue before the cached cycle.
+    commandAt_ = 0;
     return true;
 }
 
@@ -319,7 +321,16 @@ void
 VaultController::tick(Cycles now)
 {
     retireCompletions(now);
+    if (wakeGate_ && now < commandAt_)
+        return;  // no command can issue before the cached cycle
+    issueCommand(now);
+    if (wakeGate_)
+        commandAt_ = earliestCommandAt(now + 1);
+}
 
+void
+VaultController::issueCommand(Cycles now)
+{
     if (now < refreshUntil_)
         return;
     if (now >= nextRefreshAt_) {
@@ -337,24 +348,18 @@ VaultController::tick(Cycles now)
 }
 
 Cycles
-VaultController::nextEventAt(Cycles now) const
+VaultController::earliestCommandAt(Cycles from) const
 {
-    Cycles next = kIdleForever;
-    if (!completions_.empty())
-        next = std::max(completions_.top().at, now);
-
     // Refresh fires unconditionally at its deadline (and changes bank
     // state and the refresh counter), so it is always a hard event.
-    next = std::min(next, std::max(nextRefreshAt_, now));
-
-    if (totalColumns_ == 0 || next <= now)
+    Cycles next = std::max(nextRefreshAt_, from);
+    if (totalColumns_ == 0)
         return next;
 
     // No command issues while the refresh window is open. Each bank
     // contributes at most one candidate per access class it has
     // queued; the per-access minimum collapses to this because
     // same-class accesses within a bank share every timing gate.
-    const Cycles floor = std::max(now, refreshUntil_);
     for (const unsigned bi : activeBanks_) {
         const Bank &bank = banks_[bi];
         if (bank.rowOpen) {
@@ -362,22 +367,35 @@ VaultController::nextEventAt(Cycles now) const
                 // Row hit: gated by tRCD, this bank's tCCD, and the
                 // vault-wide data-bus (tBurst) constraint.
                 next = std::min(next,
-                                std::max({floor, bank.colAllowedAt,
+                                std::max({refreshUntil_, bank.colAllowedAt,
                                           bank.colCmdAllowedAt,
                                           colIssueAllowedAt_}));
             }
             if (bank.cols.size() > bank.hitQueued) {
                 // Conflict: the wrong row closes once tRAS/tWR allow.
-                next = std::min(next, std::max(floor, bank.preAllowedAt));
+                next = std::min(next,
+                                std::max(refreshUntil_, bank.preAllowedAt));
             }
         } else {
             // Precharged: activates once tRP/tRFC allow.
-            next = std::min(next, std::max(floor, bank.actAllowedAt));
+            next = std::min(next,
+                            std::max(refreshUntil_, bank.actAllowedAt));
         }
-        if (next <= now)
-            break;
+        if (next <= from)
+            return from;
     }
     return next;
+}
+
+Cycles
+VaultController::nextEventAt(Cycles now) const
+{
+    const Cycles done = nextCompletionAt();
+    if (done <= now)
+        return now;
+    if (commandAt_ < now)
+        commandAt_ = earliestCommandAt(now);
+    return std::min(done, commandAt_);
 }
 
 unsigned

@@ -39,7 +39,11 @@ class VaultController : public Clocked
      */
     bool enqueue(std::unique_ptr<MemRequest> req);
 
-    /** Advance one clock cycle: retire data, issue at most one command. */
+    /**
+     * Advance one clock cycle: retire data, issue at most one command.
+     * With the wake gate on, a tick before the cached earliest
+     * command cycle only retires data.
+     */
     void tick(Cycles now) override;
 
     /**
@@ -47,10 +51,17 @@ class VaultController : public Clocked
      * queue, the next refresh deadline, or the earliest cycle any
      * queued column access clears its timing constraints (tRCD/tCCD/
      * tBurst for a row hit; tRP/tRAS precharge or tRFC/activate
-     * windows for row-state progress). Conservative — the FR-FCFS
-     * passes may pick a different access — but never late.
+     * windows for row-state progress). Exact for the command part,
+     * which is answered from the same cache the wake gate uses.
      */
     Cycles nextEventAt(Cycles now) const override;
+
+    /**
+     * Wake-gate this vault's ticks (on only with fast-forward; see
+     * sim/clocked.hh). enqueue() is the input edge that drops the
+     * cached command cycle.
+     */
+    void setWakeGate(bool on) { wakeGate_ = on; }
 
     /** Head of the completion queue (kIdleForever when empty): the
      *  next cycle this vault could free a transaction slot. */
@@ -187,11 +198,20 @@ class VaultController : public Clocked
     };
 
     void splitIntoColumns(std::size_t trans_index);
+    /** Issue at most one command (refresh, column, row) at @p now. */
+    void issueCommand(Cycles now);
     bool issueOldestHit(Cycles now);
     void issueColumn(unsigned bank_idx, Cycles now,
                      std::deque<ColumnAccess>::iterator it);
     void deactivateBank(unsigned bank_idx);
     void progressOldest(Cycles now);
+
+    /**
+     * First cycle >= @p from at which issueCommand() could act: the
+     * refresh deadline, or the first cycle some queued access clears
+     * its timing gates.
+     */
+    Cycles earliestCommandAt(Cycles from) const;
     void beginRefresh(Cycles now);
     void retireCompletions(Cycles now);
     void finishColumn(std::size_t trans_index, Cycles now);
@@ -221,6 +241,18 @@ class VaultController : public Clocked
     Cycles colIssueAllowedAt_ = 0;
     Cycles refreshUntil_ = 0;
     Cycles nextRefreshAt_;
+
+    /**
+     * Cached earliestCommandAt(), valid while >= now (== now reads as
+     * due). Only the vault's own commands and enqueue() change what it
+     * depends on. A gated tick re-caches after every command; a
+     * refresh replayed by catchUpRefreshes fires at a deadline the
+     * cache did not pass, so afterwards the cache reads as due and the
+     * next tick re-scans. enqueue() can move the cycle earlier and
+     * drops the cache (0).
+     */
+    mutable Cycles commandAt_ = 0;
+    bool wakeGate_ = false;
     CompletionHandler completionHandler_;
 
     FaultInjector *injector_ = nullptr;

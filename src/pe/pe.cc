@@ -134,6 +134,9 @@ Pe::setReg(unsigned r, std::uint64_t v)
     vip_assert(r < kNumScalarRegs, "register r", r, " out of range");
     regs_[r] = v;
     regReadyAt_[r] = 0;
+    // Host edge: a register the stalled front end waits on may just
+    // have become valid, so re-evaluate at the next tick.
+    stallWakeAt_ = 0;
 }
 
 std::uint64_t
@@ -406,6 +409,10 @@ Pe::completeTransferPiece(int slot, const MemRequest &done)
 {
     vip_assert(lsqLive_ > 0, "LSQ underflow");
     --lsqLive_;
+    // The one input edge that can end a stall early: an LSQ slot
+    // frees, a fence may drain, and on the last piece an ld.reg valid
+    // bit is set or an ARC entry clears. Re-arm the wake gate.
+    stallWakeAt_ = 0;
     Transfer &t = transfers_[slot];
     vip_assert(t.pending > 0, "stray transfer completion");
     if (--t.pending == 0) {
@@ -790,6 +797,14 @@ Pe::tryFastPath(Cycles now)
 void
 Pe::tick(Cycles now)
 {
+    if (wakeGate_ && stallCounter_ != nullptr && now < stallWakeAt_) {
+        // Wake gate: the stall recorded at the last tick cannot break
+        // before stallWakeAt_ unless an input edge re-arms it, so this
+        // tick is exactly fastForward(now, now + 1).
+        *stallCounter_ += 1;
+        return;
+    }
+
     // Retire vector-pipeline ARC entries whose writeback completed.
     if (!vecArcPending_.empty()) {
         for (auto it = vecArcPending_.begin();

@@ -138,6 +138,13 @@ class Pe : public Clocked
      */
     void fastForward(Cycles from, Cycles to) override;
 
+    /**
+     * Wake-gate this PE's ticks (on only with fast-forward; see
+     * sim/clocked.hh): a tick inside a stall with a known wake cycle
+     * charges the stall counter and returns without re-trying issue.
+     */
+    void setWakeGate(bool on) { wakeGate_ = on; }
+
     bool halted() const { return halted_; }
 
     /** Halted with no outstanding memory traffic. */
@@ -344,9 +351,11 @@ class Pe : public Clocked
 
     /** Stall recorded at the last tick: which counter the front end
      *  charged and the earliest cycle the stall could break. Cleared
-     *  when an instruction issues. */
+     *  when an instruction issues; stallWakeAt_ alone is cleared
+     *  (re-armed) by the input edges that can end a stall early. */
     Counter *stallCounter_ = nullptr;
     Cycles stallWakeAt_ = 0;
+    bool wakeGate_ = false;
 
     StatGroup statGroup_;
     Stats stats_;

@@ -31,6 +31,32 @@
  *    "nothing happens" (the PE's per-cycle stall counters) implement
  *    `fastForward(from, to)` to account for the skipped cycles
  *    [from, to) exactly as the per-cycle ticks would have.
+ *
+ * Wake gating: the global warp only skips cycles that are dead for
+ * the whole machine (or a whole island). Between warps, the PE and the
+ * vault controller also skip their own dead cycles inside `tick()`:
+ *
+ *  - A gated tick must equal `fastForward(now, now + 1)`. A PE stalled
+ *    with a known wake cycle > now only charges its stall counter; a
+ *    vault before its cached earliest command cycle only retires
+ *    completed data (completions are not gated).
+ *  - Every input edge that can move a component's wake earlier must
+ *    re-arm it, and the edge's owner does so:
+ *      - the PE's DRAM response callback (`completeTransferPiece`:
+ *        an LSQ slot frees, a fence may drain, an ld.reg valid bit is
+ *        set, an ARC entry clears) clears the PE's wake cycle;
+ *      - the host's `Pe::setReg` does the same (a register the stall
+ *        waits on may have become valid); `loadProgram` resets the
+ *        stall outright;
+ *      - `VaultController::enqueue` drops the vault's cached command
+ *        cycle. The vault's own commands and refreshes (in `tick` or
+ *        `catchUpRefreshes`) happen only at or after the cached
+ *        cycle, so they leave it <= now, which forces a re-scan.
+ *    State the component changes itself is not an edge: it changes
+ *    only on ticks that were not gated.
+ *  - The gates are active only with `SystemConfig::fastForward`;
+ *    `--no-fast-forward` ticks every component every cycle and stays
+ *    the oracle the gated runs are compared against.
  */
 
 #ifndef VIP_SIM_CLOCKED_HH

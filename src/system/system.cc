@@ -163,6 +163,13 @@ VipSystem::VipSystem(const SystemConfig &cfg)
             });
     }
 
+    // Wake gating rides on fast-forward: --no-fast-forward keeps the
+    // tick-everything oracle (sim/clocked.hh).
+    for (unsigned v = 0; v < cfg_.mem.geom.vaults; ++v)
+        hmc_.vault(v).setWakeGate(cfg_.fastForward);
+    for (auto &pe : pes_)
+        pe->setWakeGate(cfg_.fastForward);
+
     // The machine's tick order: network deliveries first (they may
     // complete PE transactions and park requests at full vaults), then
     // the vault controllers, then the ingress drains (a completion this

@@ -6,7 +6,8 @@
  * (JSON, stable key order), and DRAM contents — across representative
  * kernels. Each scenario drives the same program on two machines, one
  * warping and one ticking every cycle, and requires bit-identical
- * results.
+ * results. The warping machine also wake-gates its PEs and vaults, so
+ * the same comparison covers the gates' input edges (WakeGate*).
  */
 
 #include <gtest/gtest.h>
@@ -254,6 +255,166 @@ TEST(FfEquivalence, MemoryBoundCopySkipsMostCycles)
     const Observed warped = observe(cfg, true, drive);
     EXPECT_GT(warped.skipped, warped.cycles / 2)
         << "memory-bound copy should be mostly dead cycles";
+}
+
+/** Spin @p iterations of a two-cycle counting loop on r1/r2. */
+void
+emitSpin(AsmBuilder &b, std::int64_t iterations)
+{
+    b.movImm(1, 0);
+    b.movImm(2, iterations);
+    const auto loop = b.newLabel();
+    b.bind(loop);
+    b.addImm(1, 1, 1);
+    b.branch(BranchCond::Lt, 1, 2, loop);
+}
+
+// Wake-gate input edges (sim/clocked.hh): runs whose stalls end on an
+// input edge, or whose stall reason changes inside one stall window,
+// and a vault gated across a refresh. Each drive also checks that it
+// hit the edge it is named for.
+
+TEST(FfEquivalence, WakeGateLsqFullThenResponse)
+{
+    // Twelve back-to-back ld.reg into a 2-entry LSQ: each stalls on
+    // LSQ capacity until a response frees a slot.
+    SystemConfig cfg = makeSystemConfig(1, 1);
+    cfg.pe.lsqEntries = 2;
+    expectEquivalent(cfg, [](VipSystem &sys) {
+        const Addr base = sys.vaultBase(0);
+        for (unsigned i = 0; i < 12; ++i)
+            sys.dram().store<std::int64_t>(base + i * 4096, i + 1);
+        AsmBuilder b;
+        for (unsigned i = 0; i < 12; ++i) {
+            b.movImm(3, static_cast<std::int64_t>(base + i * 4096));
+            b.ldReg(10 + i, 3);
+        }
+        b.scalar(ScalarOp::Add, 30, 10, 21);
+        b.movImm(3, static_cast<std::int64_t>(base + (1 << 20)));
+        b.stReg(30, 3);
+        b.memfence();
+        b.halt();
+        sys.pe(0).loadProgram(b.finish());
+        sys.run(50'000'000);
+        EXPECT_GT(sys.pe(0).stats().stallLsq.value(), 0u);
+        EXPECT_EQ(sys.dram().load<std::int64_t>(base + (1 << 20)), 13);
+    });
+}
+
+TEST(FfEquivalence, WakeGateFenceWithStoresOutstanding)
+{
+    // A fence behind stores to several banks plus a streamed st.sram:
+    // it drains only as the write responses come back.
+    expectEquivalent(makeSystemConfig(1, 1), [](VipSystem &sys) {
+        const Addr base = sys.vaultBase(0);
+        AsmBuilder b;
+        for (unsigned i = 0; i < 4; ++i) {
+            b.movImm(3, static_cast<std::int64_t>(base + i * 8192));
+            b.movImm(4, 100 + i);
+            b.stReg(4, 3);
+        }
+        b.movImm(5, 0);
+        b.movImm(6, 256);
+        b.movImm(3, static_cast<std::int64_t>(base + 65536));
+        b.stSram(5, 3, 6);
+        b.memfence();
+        b.movImm(3, static_cast<std::int64_t>(base + 8192));
+        b.ldReg(7, 3);
+        b.memfence();
+        b.halt();
+        sys.pe(0).loadProgram(b.finish());
+        sys.run(50'000'000);
+        EXPECT_GT(sys.pe(0).stats().stallFence.value(), 0u);
+        EXPECT_EQ(sys.pe(0).reg(7), 101u);
+    });
+}
+
+TEST(FfEquivalence, WakeGateLdRegThenVectorBusy)
+{
+    // v.v waits on an ld.reg'd address register (no known wake cycle),
+    // the response re-arms the PE, and the same v.v then waits on the
+    // vector unit still busy with a long m.v — two stall reasons
+    // inside one stall window.
+    expectEquivalent(makeSystemConfig(1, 1), [](VipSystem &sys) {
+        const Addr ptr = sys.vaultBase(0) + 4096;
+        sys.dram().store<std::int64_t>(ptr, 3584);
+        AsmBuilder b;
+        b.movImm(1, 128);  // VL: 256 bytes, 32 cycles per row
+        b.setVl(1);
+        b.movImm(2, 12);   // MR: 12 rows, 384 cycles of occupancy
+        b.setMr(2);
+        b.movImm(3, 0);     // matrix
+        b.movImm(4, 3072);  // vector
+        b.movImm(5, 3328);  // m.v results
+        b.movImm(8, static_cast<std::int64_t>(ptr));
+        b.ldReg(6, 8);
+        b.mv(VecOp::Mul, RedOp::Add, 5, 3, 4);
+        b.vv(VecOp::Add, 6, 4, 4);
+        b.vdrain();
+        b.halt();
+        sys.pe(0).loadProgram(b.finish());
+        sys.run(50'000'000);
+        EXPECT_GT(sys.pe(0).stats().stallScalar.value(), 0u);
+        EXPECT_GT(sys.pe(0).stats().stallVectorBusy.value(), 0u);
+    });
+}
+
+TEST(FfEquivalence, WakeGateVaultThroughRefreshThenEnqueued)
+{
+    // The vault sits idle and gated (cached cycle: its refresh
+    // deadline) while four PEs spin; their first accesses arrive
+    // staggered around the end of the first refresh interval — before,
+    // inside and after the refresh window — and a second round around
+    // the next one.
+    expectEquivalent(makeSystemConfig(1, 4), [](VipSystem &sys) {
+        const DramTiming t = sys.config().mem.timing;
+        const Addr base = sys.vaultBase(0);
+        for (unsigned pe = 0; pe < 4; ++pe) {
+            AsmBuilder b;
+            b.movImm(3, static_cast<std::int64_t>(base + pe * 8192));
+            b.movImm(6, 64);
+            b.movImm(7, pe * 256);
+            for (unsigned round = 0; round < 2; ++round) {
+                const auto at = static_cast<std::int64_t>(
+                    t.tREFI - 60 + pe * t.tRFC / 2);
+                emitSpin(b, (round == 0 ? at : t.tREFI - 200) / 2);
+                b.ldSram(7, 3, 6);
+                b.memfence();
+            }
+            b.halt();
+            sys.pe(pe).loadProgram(b.finish());
+        }
+        sys.run(50'000'000);
+        const Counter *refreshes =
+            sys.stats().findCounterByPath("hmc.vault0.refreshes");
+        ASSERT_NE(refreshes, nullptr);
+        EXPECT_GE(refreshes->value(), 2u);
+    });
+}
+
+TEST(FfEquivalence, WakeGateHostSetRegMidStall)
+{
+    // Host edge: the run budget cuts the PE mid-stall on an ld.reg'd
+    // register, the host supplies the register, and the next run must
+    // issue the waiting add at once.
+    expectEquivalent(makeSystemConfig(1, 1), [](VipSystem &sys) {
+        const Addr base = sys.vaultBase(0);
+        sys.dram().store<std::int64_t>(base, 5);
+        AsmBuilder b;
+        b.movImm(3, static_cast<std::int64_t>(base));
+        b.ldReg(6, 3);
+        b.scalar(ScalarOp::Add, 7, 6, 6);
+        b.movImm(3, static_cast<std::int64_t>(base + 64));
+        b.stReg(7, 3);
+        b.memfence();
+        b.halt();
+        sys.pe(0).loadProgram(b.finish());
+        sys.run(6);
+        EXPECT_EQ(sys.pe(0).stallReason(), "stall_scalar");
+        sys.pe(0).setReg(6, 21);
+        sys.run(50'000'000);
+        EXPECT_EQ(sys.dram().load<std::int64_t>(base + 64), 42);
+    });
 }
 
 } // namespace
