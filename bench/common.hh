@@ -78,7 +78,7 @@ struct BenchOptions
      *  instead of replaying decoded µops. */
     bool fastPath = true;
 
-    /** Requested island count (1 = serial tick loop). Each run*
+    /** Requested island count (1 = the calling thread). Each run*
      *  helper clamps this to what its machine can shard: the applied
      *  count is gcd(islands, nocX), so single-vault benches stay
      *  serial while the 32-vault ones split into column bands. */

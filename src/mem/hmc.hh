@@ -7,19 +7,17 @@
 #ifndef VIP_MEM_HMC_HH
 #define VIP_MEM_HMC_HH
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "mem/addrmap.hh"
 #include "mem/storage.hh"
 #include "mem/vault.hh"
-#include "sim/clocked.hh"
 #include "sim/stats.hh"
 
 namespace vip {
 
-class HmcStack : public Clocked
+class HmcStack
 {
   public:
     explicit HmcStack(const MemConfig &cfg, StatGroup *parent = nullptr);
@@ -30,24 +28,12 @@ class HmcStack : public Clocked
     /** Which vault services @p addr under the configured mapping. */
     unsigned homeVault(Addr addr) const { return mapper_.decode(addr).vault; }
 
+    /** Tick every vault controller through cycle @p now. */
     void
-    tick(Cycles now) override
+    tick(Cycles now)
     {
         for (auto &v : vaults_)
             v->tick(now);
-    }
-
-    /** Earliest event over all vault controllers. */
-    Cycles
-    nextEventAt(Cycles now) const override
-    {
-        Cycles next = kIdleForever;
-        for (const auto &v : vaults_) {
-            next = std::min(next, v->nextEventAt(now));
-            if (next <= now)
-                break;
-        }
-        return next;
     }
 
     bool idle() const;

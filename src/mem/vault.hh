@@ -26,7 +26,7 @@ namespace vip {
 
 class FaultInjector;
 
-class VaultController : public Clocked
+class VaultController
 {
   public:
     VaultController(unsigned vaultId, const MemConfig &cfg,
@@ -44,7 +44,7 @@ class VaultController : public Clocked
      * With the wake gate on, a tick before the cached earliest
      * command cycle only retires data.
      */
-    void tick(Cycles now) override;
+    void tick(Cycles now);
 
     /**
      * Earliest cycle this vault could act: the head of the completion
@@ -54,7 +54,7 @@ class VaultController : public Clocked
      * windows for row-state progress). Exact for the command part,
      * which is answered from the same cache the wake gate uses.
      */
-    Cycles nextEventAt(Cycles now) const override;
+    Cycles nextEventAt(Cycles now) const;
 
     /**
      * Wake-gate this vault's ticks (on only with fast-forward; see
@@ -93,10 +93,10 @@ class VaultController : public Clocked
      * (see sim/island.hh): a workload-idle vault on a skipped island
      * is never ticked, but its refresh timer — and the deterministic
      * retention-error draw each refresh makes — must fire exactly as
-     * a serial run's per-cycle ticks (or clamped warps) would fire
-     * them. A vault that has been ticked through cycle until - 1 owes
-     * nothing and this is a no-op, so the scheduler may call it
-     * unconditionally at every quantum boundary.
+     * per-cycle ticks (or clamped warps) would fire them. A vault
+     * that has been ticked through cycle until - 1 owes nothing and
+     * this is a no-op, so the scheduler may call it unconditionally
+     * at every round boundary.
      */
     void catchUpRefreshes(Cycles until);
 

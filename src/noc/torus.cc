@@ -219,7 +219,8 @@ void
 TorusNoc::tick(Cycles now)
 {
     vip_assert(shards_.size() == 1,
-               "tick() is the serial path; islands use tickIsland()");
+               "tick() drives an unpartitioned network; islands use "
+               "tickIsland()");
     tickIsland(0, now);
 }
 
@@ -232,15 +233,6 @@ TorusNoc::tickIsland(unsigned island, Cycles now)
         events.pop();
         advance(island, ev.packetIndex, ev.node, ev.at);
     }
-}
-
-Cycles
-TorusNoc::nextEventAt(Cycles now) const
-{
-    Cycles next = kIdleForever;
-    for (unsigned i = 0; i < shards_.size(); ++i)
-        next = std::min(next, islandNextEventAt(i, now));
-    return next;
 }
 
 Cycles
@@ -312,7 +304,9 @@ TorusNoc::drainInboxes(unsigned island)
 std::uint64_t
 TorusNoc::islandDelivered(unsigned island) const
 {
-    return shards_[island].delivered;
+    // A single shard counts into the shared counters directly (see
+    // advance()); its tally stays zero.
+    return shards_.size() == 1 ? delivered() : shards_[island].delivered;
 }
 
 std::uint64_t

@@ -21,9 +21,9 @@
  * another island is handed over through a per-island-pair SPSC mailbox
  * that the receiving island drains only at quantum boundaries, so
  * intra-quantum execution is lock-free and thread-confined. Events are
- * processed in a canonical total order — (cycle, node, lane key) — in
- * both the serial and the island paths, which is what makes the two
- * bit-identical: same-cycle events at *different* nodes commute (they
+ * processed in a canonical total order — (cycle, node, lane key) — for
+ * any island count, which is what makes every cut bit-identical to one
+ * island: same-cycle events at *different* nodes commute (they
  * touch disjoint link, slot, and vault state), and same-cycle events at
  * the *same* node are ordered the same way regardless of how many
  * islands processed the rest of the machine.
@@ -107,7 +107,7 @@ struct Packet
     std::uint32_t seq = 0;
 };
 
-class TorusNoc : public Clocked
+class TorusNoc
 {
   public:
     /** Per-hop router+link latency (cycles). Also the conservative
@@ -134,12 +134,8 @@ class TorusNoc : public Clocked
     void send(Packet pkt, Cycles now);
 
     /** Deliver every packet whose arrival time has been reached.
-     *  Serial (single-island) entry point. */
-    void tick(Cycles now) override;
-
-    /** The network is purely event-driven: its next state change is
-     *  the head of the (time-ordered) event queue. */
-    Cycles nextEventAt(Cycles now) const override;
+     *  Entry point for a standalone, unpartitioned network. */
+    void tick(Cycles now);
 
     bool idle() const;
 
@@ -189,8 +185,8 @@ class TorusNoc : public Clocked
     /**
      * Split the network into islands: @p island_of_node maps every
      * node to its island in [0, islands). Must be called before any
-     * traffic. islands == 1 (the construction default) is the serial
-     * path and is byte-identical to the pre-partition network.
+     * traffic. islands == 1 (the construction default) is a single
+     * shard that counts straight into the shared statistics.
      */
     void setPartition(const std::vector<unsigned> &island_of_node,
                       unsigned islands);
@@ -220,14 +216,15 @@ class TorusNoc : public Clocked
     bool drainInboxes(unsigned island);
 
     /** Packets delivered so far by @p island alone (thread-confined:
-     *  the island's own progress report). */
+     *  the island's own progress report). With one island, every
+     *  packet the network delivered. */
     std::uint64_t islandDelivered(unsigned island) const;
 
     /**
      * Fold every island's deferred stat tallies into the shared
      * counters, in fixed island order (0, 1, ...). Called once per
-     * run, from one thread, after the islands have joined. The serial
-     * path updates the counters directly and never needs this.
+     * run, from one thread, after the islands have joined. A single
+     * shard updates the counters directly and leaves nothing to fold.
      */
     void flushIslandStats();
 
@@ -253,8 +250,8 @@ class TorusNoc : public Clocked
         std::uint64_t key;  ///< laneKeyOf() — canonical tie-break
 
         /** Canonical total order (min-heap via std::greater): cycle,
-         *  then node, then packet identity. Identical in the serial
-         *  and island paths — the determinism linchpin. */
+         *  then node, then packet identity. Identical for any island
+         *  count — the determinism linchpin. */
         bool
         operator>(const Event &o) const
         {
@@ -342,7 +339,7 @@ class TorusNoc : public Clocked
     std::vector<std::uint32_t> laneSeq_;
 
     std::vector<unsigned> islandOf_;  ///< node -> owning island
-    std::vector<Shard> shards_;       ///< size 1 = serial path
+    std::vector<Shard> shards_;       ///< size 1 = unpartitioned
 
     FaultInjector *injector_ = nullptr;
 

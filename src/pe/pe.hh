@@ -88,7 +88,7 @@ struct PeConfig
 /** How the PE hands memory transactions to the system. */
 using MemIssueFn = std::function<void(std::unique_ptr<MemRequest>)>;
 
-class Pe : public Clocked
+class Pe
 {
   public:
     Pe(const PeConfig &cfg, DramStorage &dram, const AddressMapper &mapper,
@@ -109,7 +109,7 @@ class Pe : public Clocked
     void setTracer(Tracer t) { tracer_ = std::move(t); }
 
     /** Advance one clock cycle (issue at most one instruction). */
-    void tick(Cycles now) override;
+    void tick(Cycles now);
 
     /**
      * Exclusive cycle bound of the current run: the fast path never
@@ -129,14 +129,14 @@ class Pe : public Clocked
      * kIdleForever — the response is an event of the NoC/vault that
      * will deliver it.
      */
-    Cycles nextEventAt(Cycles now) const override;
+    Cycles nextEventAt(Cycles now) const;
 
     /**
      * Replicate the per-cycle stall accounting for skipped cycles
      * [from, to): the stall reason recorded at the last tick cannot
      * change inside a warp window, so the same counter is charged.
      */
-    void fastForward(Cycles from, Cycles to) override;
+    void fastForward(Cycles from, Cycles to);
 
     /**
      * Wake-gate this PE's ticks (on only with fast-forward; see

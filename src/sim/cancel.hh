@@ -5,11 +5,11 @@
  * A CancelToken is the one-way stop signal for a simulation in
  * flight: the owner (a serve connection handling {"cmd":"cancel"}, a
  * SIGINT handler in vip-run, a test) flips it from any thread, and
- * the run loop polls it at fast-forward/quantum boundaries —
- * VipSystem::run() every kCancelPollCycles simulated cycles on the
- * serial path, IslandScheduler::decideNextRound() between quanta —
- * and surfaces the stop as a structured CancelledError or
- * TimeoutError (sim/error.hh) on the calling thread.
+ * the run loop polls it between rounds — IslandScheduler ends a round
+ * every kCancelPollCycles simulated cycles, for any island count, and
+ * polls there — and VipSystem::run() surfaces the stop as a
+ * structured CancelledError or TimeoutError (sim/error.hh) on the
+ * calling thread.
  *
  * Two independent triggers share the token:
  *
@@ -24,10 +24,9 @@
  *    cached responses stay valid for any budget.
  *
  * Polling cost: cancelled() is one relaxed atomic load; expired()
- * reads the clock, so run loops rate-limit it (every
- * kCancelPollCycles cycles / kCancelPollRounds quanta), bounding
- * cancellation latency to a few host milliseconds without taxing the
- * tick loop.
+ * reads the clock, so the run loop rate-limits both to one poll every
+ * kCancelPollCycles simulated cycles, bounding cancellation latency
+ * to a few host milliseconds without taxing the tick loop.
  */
 
 #ifndef VIP_SIM_CANCEL_HH
@@ -130,13 +129,10 @@ class CancelToken
     std::chrono::steady_clock::time_point deadline_{};  // vip-lint: allow(wall-clock)
 };
 
-/** Serial-loop poll cadence: check the token every this many
- *  simulated cycles (and after every fast-forward warp). */
+/** Run-loop poll cadence: check the token once every this many
+ *  simulated cycles (and on the first round end after a warp jumps
+ *  past the mark), whatever the island count. */
 constexpr std::uint64_t kCancelPollCycles = 65'536;
-
-/** Island-scheduler poll cadence for the clock-reading expired()
- *  check; the cancelled() flag is checked every round. */
-constexpr unsigned kCancelPollRounds = 1'024;
 
 } // namespace vip
 

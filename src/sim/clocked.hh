@@ -1,16 +1,21 @@
 /**
  * @file
- * The simulator's time model: the `Clocked` component interface and
- * the event-horizon fast-forward contract.
+ * The simulator's time model: the clocked-component contract and the
+ * event-horizon fast-forward contract.
  *
- * Every tickable unit of the machine (PE, NoC, vault, the system's
- * ingress drains) implements `tick(now)` plus `nextEventAt(now)`: the
- * earliest future cycle at which the component, left alone, could
- * change architectural or statistical state. The system's run loop
- * computes the horizon `min(nextEventAt)` over all components each
- * iteration and, when it exceeds the next cycle, warps simulated time
- * directly to it — skipping cycles that would have been no-op ticks
- * for every component.
+ * Every tickable unit of the machine (PE, NoC, vault controller)
+ * provides `tick(now)` plus `nextEventAt(now)`: the earliest future
+ * cycle at which the component, left alone, could change
+ * architectural or statistical state. This is a contract, not a base
+ * class: the one run loop (the island scheduler, sim/island.hh)
+ * reaches the components through VipSystem's per-island hooks, which
+ * name the concrete types. Each island ticks its components in a
+ * fixed order, computes the horizon `min(nextEventAt)` over them (a
+ * vault with parked ingress requests adds its next completion, when a
+ * queue slot frees) and, when it exceeds the next cycle, warps
+ * simulated time directly to it — skipping cycles that would have
+ * been no-op ticks for every component. Between rounds the scheduler
+ * warps the whole machine the same way.
  *
  * The contract that keeps warping *exact* rather than approximate:
  *
@@ -71,35 +76,6 @@ namespace vip {
 /** "No self-generated future event": the component is externally
  *  driven or fully idle. */
 inline constexpr Cycles kIdleForever = std::numeric_limits<Cycles>::max();
-
-/** A component driven by the global 1.25 GHz clock. */
-class Clocked
-{
-  public:
-    virtual ~Clocked() = default;
-
-    /** Advance the component through cycle @p now. */
-    virtual void tick(Cycles now) = 0;
-
-    /**
-     * Earliest cycle >= @p now at which this component could change
-     * state on its own. May be early, must never be late; see the
-     * file comment for the full contract.
-     */
-    virtual Cycles nextEventAt(Cycles now) const = 0;
-
-    /**
-     * Cycles [@p from, @p to) are being skipped: every component
-     * reported no event in the interval, so a per-cycle tick would
-     * have been a no-op. Components with per-cycle observable
-     * behaviour (stall counters) replicate it here.
-     */
-    virtual void fastForward(Cycles from, Cycles to)
-    {
-        (void)from;
-        (void)to;
-    }
-};
 
 /** What the event-horizon fast-forward did during a run. */
 struct FastForwardStats

@@ -8,6 +8,18 @@
 
 namespace vip {
 
+namespace {
+
+/** a + b, saturating at kIdleForever (an unbounded quantum or a huge
+ *  watchdog window must not wrap the round end). */
+Cycles
+satAdd(Cycles a, Cycles b)
+{
+    return b > kIdleForever - a ? kIdleForever : a + b;
+}
+
+} // namespace
+
 void
 SpinBarrier::arriveAndWait(const std::function<void()> &completion)
 {
@@ -51,10 +63,10 @@ IslandScheduler::run(Cycles start, Cycles deadline)
     deadline_ = deadline;
     lastCheck_ = start;
     lastProgress_ = ~std::uint64_t{0};
-    cancelPollCountdown_ = kCancelPollRounds;
+    nextCancelPoll_ = satAdd(start, kCancelPollCycles);
     round_ = Round{};
     round_.begin = start;
-    round_.end = start + std::min(opt_.quantum, deadline - start);
+    round_.end = roundEnd(start);
     round_.warpedFrom = start;
     for (Slot &s : slots_) {
         s = Slot{};
@@ -83,7 +95,7 @@ IslandScheduler::islandMain(unsigned i)
 {
     Slot &slot = slots_[i];
     for (;;) {
-        // ---- Phase A: tick own components through the quantum,
+        // ---- Phase A: tick own components through the round,
         // thread-confined (reads of round_ are ordered by the
         // previous round's barrier-2 crossing).
         try {
@@ -94,30 +106,32 @@ IslandScheduler::islandMain(unsigned i)
                     hooks_.fastForward) {
                     // The decision warped the machine over globally
                     // dead cycles; replicate what per-cycle ticks
-                    // would have observed (stall counters), exactly
-                    // as the serial warp does.
+                    // would have observed (stall counters).
                     hooks_.fastForward(i, round_.warpedFrom,
                                        round_.begin);
                 }
+                // One idle check per tick. It comes before the warp:
+                // an island that just went idle must stop at its idle
+                // cycle, not warp to the round end.
                 Cycles c = round_.begin;
-                while (c < round_.end) {
-                    if (hooks_.idle(i))
-                        break;
-                    hooks_.tick(i, c);
-                    ++c;
-                    if (opt_.fastForward && c < round_.end &&
-                        !hooks_.idle(i)) {
-                        // Intra-quantum warp over the island's own
-                        // dead cycles (its nextEventAt clamps to
-                        // refresh deadlines, so none are jumped).
+                while (c < round_.end && !hooks_.idle(i)) {
+                    if (opt_.fastForward && c > round_.begin) {
+                        // Intra-round warp over the island's own dead
+                        // cycles (its nextEventAt clamps to refresh
+                        // deadlines, so none are jumped). At the round
+                        // start the decision has already warped.
                         const Cycles to = std::min(
                             hooks_.nextEventAt(i, c), round_.end);
                         if (to > c) {
                             if (hooks_.fastForward)
                                 hooks_.fastForward(i, c, to);
                             c = to;
+                            if (c == round_.end)
+                                break;
                         }
                     }
+                    hooks_.tick(i, c);
+                    ++c;
                 }
                 if (hooks_.idle(i)) {
                     if (!slot.idle) {
@@ -197,7 +211,7 @@ IslandScheduler::decideNextRound()
     if (all_idle) {
         // Every outbox was drained this round (phase B), so idleness
         // is global, and the machine's true halt cycle is when the
-        // last island went idle — exactly the serial run's result.
+        // last island went idle, whatever the island count.
         round_.stop = true;
         round_.final = latest_idle;
         return;
@@ -209,16 +223,13 @@ IslandScheduler::decideNextRound()
     }
 
     // Cooperative stop, after the natural-completion checks so a run
-    // that drains this very round reports its real result. The flag
-    // is one relaxed load (every round); the clock-reading deadline
-    // poll is rate-limited to every kCancelPollRounds rounds.
-    if (opt_.cancel) {
-        bool should_stop = opt_.cancel->cancelled();
-        if (!should_stop && --cancelPollCountdown_ == 0) {
-            cancelPollCountdown_ = kCancelPollRounds;
-            should_stop = opt_.cancel->expired();
-        }
-        if (should_stop) {
+    // that drains this very round reports its real result. Rounds end
+    // at the poll mark, so the token is read once every
+    // kCancelPollCycles simulated cycles (later only when a warp
+    // jumped the mark), for any island count.
+    if (opt_.cancel && round_.end >= nextCancelPoll_) {
+        nextCancelPoll_ = satAdd(round_.end, kCancelPollCycles);
+        if (opt_.cancel->shouldStop()) {
             round_.stop = true;
             round_.cancelStopped = true;
             round_.final = round_.end;
@@ -226,10 +237,9 @@ IslandScheduler::decideNextRound()
         }
     }
 
-    // Deadlock watchdog, at quantum granularity: the serial loop
-    // checks every cycle, so the reported deadlock *cycle* can differ
-    // by up to one quantum (or one warp) from a serial run; whether
-    // it fires does not.
+    // Deadlock watchdog. Rounds end at lastCheck_ + watchdogCycles
+    // and warps stop one cycle short of it, so it looks at exactly
+    // the same cycles for any island count and fast-forward setting.
     if (round_.end - lastCheck_ >= opt_.watchdogCycles) {
         std::uint64_t p = 0;
         for (const Slot &s : slots_)
@@ -249,13 +259,26 @@ IslandScheduler::decideNextRound()
     if (opt_.fastForward && global_next > round_.end) {
         // Globally dead span: no island has an event before
         // global_next and all mail is drained. Warp there, clamped so
-        // the deadline and the watchdog still get their looks.
+        // the deadline and the watchdog still get their looks; the
+        // warp stops one cycle short of the watchdog's look so the
+        // round that ends there is not empty.
         Cycles target = std::min(global_next, deadline_);
-        target = std::min(target, lastCheck_ + opt_.watchdogCycles);
+        target = std::min(target,
+                          satAdd(lastCheck_, opt_.watchdogCycles) - 1);
         begin = target;
     }
     round_.begin = begin;
-    round_.end = begin + std::min(opt_.quantum, deadline_ - begin);
+    round_.end = roundEnd(begin);
+}
+
+Cycles
+IslandScheduler::roundEnd(Cycles begin) const
+{
+    Cycles end = std::min(deadline_, satAdd(begin, opt_.quantum));
+    end = std::min(end, satAdd(lastCheck_, opt_.watchdogCycles));
+    if (opt_.cancel && nextCancelPoll_ > begin)
+        end = std::min(end, nextCancelPoll_);
+    return end;
 }
 
 } // namespace vip

@@ -1,34 +1,41 @@
 /**
  * @file
- * The island scheduler: runs N partition islands of one machine on N
- * host threads in conservative quanta, deterministically.
+ * The island scheduler: the simulator's one run loop. It runs N
+ * partition islands of one machine on N host threads in conservative
+ * quanta, deterministically; a single-threaded run is the same
+ * scheduler with one island (no thread is spawned, the barrier has one
+ * party, and a round has no quantum bound).
  *
  * ## The protocol
  *
  * Every island gets its own thread and tick cursor. Time advances in
- * quanta of `quantum` cycles (the system uses the minimum cross-island
- * NoC link latency plus one: a flit leaving an island at cycle t
- * cannot arrive at a neighbor before t + hopLatency + serialization,
- * so within one quantum no island can affect another). Each round:
+ * rounds of at most `quantum` cycles (the system uses the minimum
+ * cross-island NoC link latency plus one: a flit leaving an island at
+ * cycle t cannot arrive at a neighbor before t + hopLatency +
+ * serialization, so within one quantum no island can affect another).
+ * A round also ends at the deadline, at the watchdog's next look and
+ * at the next cancel poll, so each of those is checked at the same
+ * cycle for any island count. Each round:
  *
  *   phase A  every island ticks its own components from the cursor to
- *            the quantum end, thread-confined and lock-free (it may
+ *            the round end, thread-confined and lock-free (it may
  *            fast-forward locally over its own dead cycles);
  *   barrier
  *   phase B  every island drains the mailboxes its neighbors filled
  *            during phase A, then reports (idle? next event? progress);
  *   barrier  the last thread to arrive runs the round decision: stop
- *            (all idle / deadline / watchdog-deadlock), or pick the
- *            next quantum — warping globally over dead cycles when
- *            every island's next event lies beyond the quantum end.
+ *            (all idle / deadline / cancel / watchdog-deadlock), or
+ *            pick the next round — warping globally over dead cycles
+ *            when every island's next event lies beyond the round
+ *            end.
  *
  * The two barriers make each phase's writes visible to all threads
  * before anyone reads them, so the per-link mailboxes and the shared
  * round state need no locks of their own. Determinism comes from the
  * client's hooks (canonical event order inside each island, exchange
  * only at boundaries), not from this file; the scheduler only
- * guarantees the same sequence of quantum boundaries for a given
- * (hooks, quantum, deadline) regardless of thread interleaving.
+ * guarantees the same sequence of round boundaries for a given
+ * (hooks, options, deadline) regardless of thread interleaving.
  *
  * Exceptions thrown by hooks are captured per island; the scheduler
  * aborts the run at the next barrier and rethrows the lowest-island
@@ -128,21 +135,22 @@ class IslandScheduler
   public:
     struct Options
     {
-        /** Quantum length in cycles; must not exceed the minimum
-         *  cross-island event latency the hooks guarantee. */
+        /** Longest round in cycles; must not exceed the minimum
+         *  cross-island event latency the hooks guarantee. One island
+         *  has no cross-island events: kIdleForever lifts the bound. */
         Cycles quantum = 4;
 
         /** Declare deadlock when no island makes progress for this
-         *  many cycles (checked at quantum granularity). */
+         *  many cycles (checked every watchdogCycles cycles exactly:
+         *  rounds end there). */
         Cycles watchdogCycles = 2'000'000;
 
-        /** Allow intra-quantum and cross-quantum time warps. */
+        /** Allow intra-round and cross-round time warps. */
         bool fastForward = true;
 
         /**
-         * Cooperative stop signal, polled by the round decision
-         * between quanta (the cancelled flag every round, the
-         * clock-reading deadline every kCancelPollRounds rounds).
+         * Cooperative stop signal, polled by the round decision every
+         * kCancelPollCycles simulated cycles (rounds end there).
          * Null = never stops early.
          */
         const CancelToken *cancel = nullptr;
@@ -166,9 +174,9 @@ class IslandScheduler
 
     /**
      * Run all islands from cycle @p start until the machine drains or
-     * @p deadline is reached. Spawns islands - 1 threads; the calling
-     * thread drives island 0. Rethrows the first (lowest-island)
-     * exception any hook raised.
+     * @p deadline is reached. Spawns islands - 1 threads (none for one
+     * island); the calling thread drives island 0. Rethrows the first
+     * (lowest-island) exception any hook raised.
      */
     Outcome run(Cycles start, Cycles deadline);
 
@@ -191,7 +199,7 @@ class IslandScheduler
      *  callback (one thread, all others parked in the barrier). */
     struct Round
     {
-        Cycles begin = 0;     ///< first cycle of the quantum
+        Cycles begin = 0;     ///< first cycle of the round
         Cycles end = 0;       ///< one past the last cycle
         Cycles warpedFrom = 0; ///< begin > warpedFrom => global warp
         bool stop = false;
@@ -202,6 +210,11 @@ class IslandScheduler
 
     void islandMain(unsigned i);
     void decideNextRound();
+
+    /** Where a round starting at @p begin ends: the first of the
+     *  quantum end, the deadline, the watchdog's next look and the
+     *  next cancel poll. */
+    Cycles roundEnd(Cycles begin) const;
 
     const unsigned islands_;
     const IslandHooks hooks_;
@@ -216,9 +229,9 @@ class IslandScheduler
     Cycles lastCheck_ = 0;
     std::uint64_t lastProgress_ = ~std::uint64_t{0};
 
-    /** Rounds until the next clock-reading deadline poll (touched
-     *  only by the decision callback). */
-    unsigned cancelPollCountdown_ = 0;
+    /** Cycle of the next cancel poll (touched only by the decision
+     *  callback). */
+    Cycles nextCancelPoll_ = 0;
 
     /** A hook threw somewhere: finish the round and stop. */
     std::atomic<bool> abort_{false};

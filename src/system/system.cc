@@ -141,9 +141,8 @@ VipSystem::VipSystem(const SystemConfig &cfg)
         pe_cfg.vault = id / cfg_.pesPerVault;
         pe_cfg.fastPath = cfg_.fastPath;
         // Half the watchdog period bounds a bulk charge, so a progress
-        // bump always lands inside every watchdog window (serial and
-        // island) and a natively-executed mega-loop can't be mistaken
-        // for a hang.
+        // bump always lands inside every watchdog window and a
+        // natively-executed mega-loop can't be mistaken for a hang.
         pe_cfg.fastPathChunk =
             std::min<Cycles>(pe_cfg.fastPathChunk,
                              std::max<Cycles>(1, cfg_.watchdogCycles / 2));
@@ -169,19 +168,6 @@ VipSystem::VipSystem(const SystemConfig &cfg)
         hmc_.vault(v).setWakeGate(cfg_.fastForward);
     for (auto &pe : pes_)
         pe->setWakeGate(cfg_.fastForward);
-
-    // The machine's tick order: network deliveries first (they may
-    // complete PE transactions and park requests at full vaults), then
-    // the vault controllers, then the ingress drains (a completion this
-    // cycle frees a slot this cycle), then the PE front ends.
-    // tickIsland() ticks the same classes in the same per-node order,
-    // restricted to one island's nodes.
-    clocked_.reserve(3 + pes_.size());
-    clocked_.push_back(&noc_);
-    clocked_.push_back(&hmc_);
-    clocked_.push_back(&ingressDrain_);
-    for (auto &pe : pes_)
-        clocked_.push_back(pe.get());
 
     if (cfg_.faults.enabled) {
         injector_ = std::make_unique<FaultInjector>(cfg_.faults);
@@ -268,52 +254,6 @@ VipSystem::drainIngress(unsigned v)
     }
 }
 
-void
-VipSystem::IngressDrain::tick(Cycles)
-{
-    for (unsigned v = 0; v < sys_.ingress_.size(); ++v)
-        sys_.drainIngress(v);
-}
-
-Cycles
-VipSystem::IngressDrain::nextEventAt(Cycles now) const
-{
-    // A parked request drains when its vault frees a slot, and slots
-    // free only when a transaction completes.
-    Cycles next = kIdleForever;
-    for (unsigned v = 0; v < sys_.ingress_.size(); ++v) {
-        if (sys_.ingress_[v].empty())
-            continue;
-        next = std::min(next, sys_.hmc_.vault(v).nextCompletionAt());
-        if (next <= now)
-            break;
-    }
-    return std::max(next, now);
-}
-
-void
-VipSystem::tick()
-{
-    vip_assert(cfg_.islands == 1,
-               "tick() drives the serial path; an island machine is "
-               "driven by run()");
-    for (Clocked *c : clocked_)
-        c->tick(now_);
-    ++now_;
-}
-
-Cycles
-VipSystem::nextEventAt() const
-{
-    Cycles horizon = kIdleForever;
-    for (Clocked *c : clocked_) {
-        horizon = std::min(horizon, c->nextEventAt(now_));
-        if (horizon <= now_)
-            break;
-    }
-    return horizon;
-}
-
 bool
 VipSystem::allIdle() const
 {
@@ -342,74 +282,7 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
     // cycle-by-cycle run would (the partial block re-executes per-µop).
     for (auto &pe : pes_)
         pe->setRunDeadline(deadline);
-    if (cfg_.islands > 1)
-        return islandRun(deadline, cancel);
 
-    std::uint64_t last_progress = ~std::uint64_t{0};
-    Cycles last_check = now_;
-    Cycles next_cancel_poll = now_ + kCancelPollCycles;
-
-    auto progress = [this]() {
-        std::uint64_t p = noc_.delivered();
-        for (const auto &pe : pes_)
-            p += pe->stats().instructions.value();
-        return p;
-    };
-
-    while (now_ < deadline && !allIdle()) {
-        tick();
-        if (cancel && now_ >= next_cancel_poll) {
-            // Cooperative stop point: a fast-forward warp below can
-            // jump now_ far past the cadence mark, so the poll also
-            // lands right after every warp. shouldStop() reads the
-            // host clock only here, never per tick.
-            next_cancel_poll = now_ + kCancelPollCycles;
-            if (cancel->shouldStop()) {
-                running_.store(false, std::memory_order_release);
-                cancel->check();  // throws Timeout/CancelledError
-            }
-        }
-        if (now_ - last_check >= cfg_.watchdogCycles) {
-            const std::uint64_t p = progress();
-            if (p == last_progress) {
-                // Genuine deadlock. Diagnose rather than die: a sweep
-                // harness marks this one point failed (carrying the
-                // report) and the rest of the campaign completes.
-                const std::string diagnosis = deadlockDiagnosis();
-                running_.store(false, std::memory_order_release);
-                throw DeadlockError("system deadlocked at cycle " +
-                                        std::to_string(now_),
-                                    diagnosis);
-            }
-            last_progress = p;
-            last_check = now_;
-        }
-        if (!cfg_.fastForward || allIdle())
-            continue;
-
-        // Event-horizon warp: every cycle in [now_, horizon) is dead —
-        // ticking through it would change nothing but the PE stall
-        // counters, which fastForward() replicates. Clamp to the
-        // deadline and to the cycle where the watchdog would next look,
-        // so both fire at exactly the same now_ as an unwarped run.
-        const Cycles horizon = nextEventAt();
-        Cycles target = std::min(horizon, deadline);
-        target = std::min(target, last_check + cfg_.watchdogCycles - 1);
-        if (target > now_) {
-            for (auto &pe : pes_)
-                pe->fastForward(now_, target);
-            ff_.skippedCycles += target - now_;
-            ff_.warps += 1;
-            now_ = target;
-        }
-    }
-    running_.store(false, std::memory_order_release);
-    return now_;
-}
-
-Cycles
-VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
-{
     const unsigned n = cfg_.islands;
     for (unsigned i = 0; i < n; ++i) {
         islandNow_[i].v = now_;
@@ -438,8 +311,8 @@ VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
     // is next visible at t + kHopLatency + serialization (>= 1 cycle
     // for the 8-byte header), so within kHopLatency + 1 cycles no
     // island can affect another and quantum-boundary mail exchange
-    // loses nothing.
-    opt.quantum = TorusNoc::kHopLatency + 1;
+    // loses nothing. One island has no cross-island packets.
+    opt.quantum = n > 1 ? TorusNoc::kHopLatency + 1 : kIdleForever;
     opt.watchdogCycles = cfg_.watchdogCycles;
     opt.fastForward = cfg_.fastForward;
     opt.cancel = cancel;
@@ -464,6 +337,9 @@ VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
     noc_.flushIslandStats();
 
     if (out.deadlocked) {
+        // Diagnose rather than die: a sweep harness marks this one
+        // point failed (carrying the report) and the rest of the
+        // campaign completes.
         const std::string diagnosis = deadlockDiagnosis();
         running_.store(false, std::memory_order_release);
         throw DeadlockError("system deadlocked at cycle " +
@@ -487,6 +363,11 @@ VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
 void
 VipSystem::tickIsland(unsigned island, Cycles now)
 {
+    // The machine's tick order, restricted to one island's nodes:
+    // network deliveries first (they may complete PE transactions and
+    // park requests at full vaults), then the vault controllers, then
+    // the ingress drains (a completion this cycle frees a slot this
+    // cycle), then the PE front ends.
     islandNow_[island].v = now;
     noc_.tickIsland(island, now);
     const std::vector<unsigned> &nodes = partition_.nodesOf[island];
@@ -525,6 +406,8 @@ VipSystem::islandNextEventAt(unsigned island, Cycles now) const
         // Vault nextEventAt includes its refresh deadline, which is
         // what clamps island-local warps so refreshes fire on time.
         next = std::min(next, hmc_.vault(v).nextEventAt(now));
+        // A parked request drains when its vault frees a slot, and
+        // slots free only when a transaction completes.
         if (!ingress_[v].empty())
             next = std::min(next, hmc_.vault(v).nextCompletionAt());
         const unsigned base = v * cfg_.pesPerVault;

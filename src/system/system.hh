@@ -10,12 +10,14 @@
  * serviced by the DRAM model, and a response travels back before the
  * PE observes completion.
  *
- * With cfg.islands > 1 a run shards across host threads: the machine
- * is cut into islands of NoC columns (system/partition.hh), each
- * island's components tick on their own thread in conservative quanta
- * (sim/island.hh), and per-island state merges in fixed island order
- * after the join — producing bit-identical results to islands == 1
- * (see docs/INTERNALS.md "Island partitioning & conservative quanta").
+ * Every run goes through the island scheduler (sim/island.hh). With
+ * cfg.islands > 1 it shards across host threads: the machine is cut
+ * into islands of NoC columns (system/partition.hh), each island's
+ * components tick on their own thread in conservative quanta, and
+ * per-island state merges in fixed island order after the join —
+ * producing bit-identical results to islands == 1, which is the same
+ * scheduler with one island on the calling thread (see
+ * docs/INTERNALS.md "Island partitioning & conservative quanta").
  */
 
 #ifndef VIP_SYSTEM_SYSTEM_HH
@@ -64,10 +66,10 @@ struct SystemConfig
     /**
      * Host threads one run may use: the machine is cut into this many
      * islands of NoC columns that tick concurrently (see file
-     * comment). Must divide nocX. 1 (the default) is the serial path
-     * and is byte-identical to every other value — islands changes
-     * host time, never the simulation — so it is a host knob like
-     * fastForward, not part of the machine being modelled.
+     * comment). Must divide nocX. 1 (the default) runs on the calling
+     * thread and is byte-identical to every other value — islands
+     * changes host time, never the simulation — so it is a host knob
+     * like fastForward, not part of the machine being modelled.
      */
     unsigned islands = 1;
 
@@ -146,17 +148,15 @@ class VipSystem
         return hmc_.mapper().vaultBase(v);
     }
 
-    /** Advance the whole machine one cycle (serial path only). */
-    void tick();
-
     /**
      * Run until every PE is idle (halted, no outstanding memory) and
      * the memory system has drained, or @p max_cycles elapse.
      * @return total cycles simulated so far.
      *
-     * With cfg.islands == 1 the run is confined to the calling host
-     * thread: nothing in the machine is synchronized, so concurrent
-     * run()/tick() calls on the same instance are a caller bug
+     * There is one run loop, the island scheduler, for any island
+     * count. With cfg.islands == 1 it runs one island on the calling
+     * host thread: nothing in the machine is synchronized, so
+     * concurrent run() calls on the same instance are a caller bug
      * (parallel sweeps must build one system per job — see
      * sim/sweep.hh). run() asserts this. With islands > 1 the run
      * *internally* spawns islands - 1 worker threads, but the
@@ -164,12 +164,14 @@ class VipSystem
      * time, and the per-island state is thread-confined to each
      * island's thread between barriers.
      *
-     * @p cancel, when given, is polled cooperatively (every
-     * kCancelPollCycles on the serial path, between quanta on the
-     * island path): a tripped token stops the run at the next
-     * boundary and throws CancelledError / TimeoutError
-     * (sim/cancel.hh). The machine is left mid-flight but
-     * destructible; the run's partial results are discarded.
+     * The watchdog (no progress for cfg.watchdogCycles) throws
+     * DeadlockError at the same cycle for any island count and
+     * fast-forward setting. @p cancel, when given, is polled
+     * cooperatively every kCancelPollCycles simulated cycles: a
+     * tripped token stops the run at that boundary and throws
+     * CancelledError / TimeoutError (sim/cancel.hh). The machine is
+     * left mid-flight but destructible; the run's partial results are
+     * discarded.
      */
     Cycles run(Cycles max_cycles = 0,
                const CancelToken *cancel = nullptr);
@@ -179,19 +181,12 @@ class VipSystem
     bool allIdle() const;
 
     /**
-     * What the event-horizon fast-forward skipped so far. In island
-     * mode the numbers aggregate per-island horizons (an island
+     * What the event-horizon fast-forward skipped so far. With
+     * islands > 1 the numbers aggregate per-island horizons (an island
      * warping 100 cycles counts 100 regardless of what the others
      * did), so they measure work saved, not wall-clock cycles.
      */
     const FastForwardStats &fastForwardStats() const { return ff_; }
-
-    /**
-     * Earliest cycle >= now() at which any component of the machine
-     * can change state; kIdleForever when fully drained. Exposed for
-     * tests and for callers driving tick() themselves.
-     */
-    Cycles nextEventAt() const;
 
     StatGroup &stats() { return statGroup_; }
 
@@ -225,8 +220,7 @@ class VipSystem
     /** Drain vault @p v's parked ingress queue into freed slots. */
     void drainIngress(unsigned v);
 
-    // ---- island mode (cfg_.islands > 1) ----------------------------
-    Cycles islandRun(Cycles deadline, const CancelToken *cancel);
+    // ---- the run loop's island hooks (sim/island.hh) ----------------
     void tickIsland(unsigned island, Cycles now);
     bool islandIdle(unsigned island) const;
     Cycles islandNextEventAt(unsigned island, Cycles now) const;
@@ -236,35 +230,14 @@ class VipSystem
 
     /**
      * The current cycle as seen by @p vault's island: the per-island
-     * tick cursor while that island's thread is inside a quantum, the
-     * global clock otherwise. Request/response routing runs on island
-     * threads and must timestamp packets with *its* island's time.
+     * tick cursor. Request/response routing runs on island threads
+     * and must timestamp packets with *its* island's time.
      */
     Cycles
     localNow(unsigned vault) const
     {
-        if (cfg_.islands == 1)
-            return now_;
         return islandNow_[partition_.islandOf(vault)].v;
     }
-
-    /**
-     * The per-vault queues of requests that reached their home vault
-     * while its transaction queue was full, modelled as a clocked
-     * component so warps can never jump a drain opportunity: capacity
-     * only frees when a vault completes a transaction, so the next
-     * event of a backed-up queue is its vault's next completion.
-     */
-    class IngressDrain : public Clocked
-    {
-      public:
-        explicit IngressDrain(VipSystem &sys) : sys_(sys) {}
-        void tick(Cycles now) override;
-        Cycles nextEventAt(Cycles now) const override;
-
-      private:
-        VipSystem &sys_;
-    };
 
     SystemConfig cfg_;
     StatGroup statGroup_;
@@ -279,12 +252,6 @@ class VipSystem
     /** Requests that reached their vault but found its queue full.
      *  Per-vault, hence island-confined like the vaults themselves. */
     std::vector<std::deque<std::unique_ptr<MemRequest>>> ingress_;
-    IngressDrain ingressDrain_{*this};
-
-    /** Every tickable unit, in the machine's tick order (serial path;
-     *  island threads tick the same components in the same per-node
-     *  order, restricted to their own island). */
-    std::vector<Clocked *> clocked_;
 
     FastForwardStats ff_;
 

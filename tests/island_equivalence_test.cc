@@ -283,6 +283,56 @@ TEST(IslandEquivalence, WakeGateCatchUpRefreshes)
     });
 }
 
+TEST(IslandEquivalence, BudgetCutThenResume)
+{
+    // A run stopped at its cycle budget and resumed must land where one
+    // uncut run does, for any island count and fast-forward setting:
+    // the deadline stop, the fast path's budget chunking and the fresh
+    // watchdog and poll marks of the resumed run are all invisible.
+    // PE 0 and PE 31 sit in the outer columns of the 4x4 torus and
+    // stream through vaults two columns away, so their traffic
+    // crosses islands at 2 and 4 islands.
+    const SystemConfig cfg = makeSystemConfig(16, 2);
+    auto load = [](VipSystem &sys) {
+        Rng rng(5);
+        for (const unsigned v : {2u, 13u}) {
+            std::vector<std::int16_t> data(2048);
+            for (auto &d : data)
+                d = static_cast<std::int16_t>(rng.nextRange(-99, 99));
+            sys.dram().write(sys.vaultBase(v), data.data(),
+                             data.size() * 2);
+        }
+        sys.pe(0).loadProgram(copyProgram(
+            sys.vaultBase(2), sys.vaultBase(1) + (4ull << 20), 4));
+        sys.pe(31).loadProgram(copyProgram(
+            sys.vaultBase(13), sys.vaultBase(14) + (4ull << 20), 4));
+    };
+
+    const Observed uncut = observe(cfg, 1, false, [&](VipSystem &sys) {
+        load(sys);
+        sys.run();
+    });
+    for (const Cycles k : {Cycles{7}, Cycles{333}, Cycles{1000}}) {
+        ASSERT_LT(k, uncut.cycles) << "the cut must land mid-run";
+        for (const unsigned islands : {1u, 2u, 4u}) {
+            for (const bool ff : {true, false}) {
+                const Observed cut =
+                    observe(cfg, islands, ff, [&](VipSystem &sys) {
+                        load(sys);
+                        EXPECT_EQ(sys.run(k), k);
+                        sys.run();
+                    });
+                EXPECT_EQ(uncut.cycles, cut.cycles)
+                    << "k=" << k << " islands=" << islands
+                    << " ff=" << ff;
+                EXPECT_EQ(uncut.statsJson, cut.statsJson)
+                    << "k=" << k << " islands=" << islands
+                    << " ff=" << ff;
+            }
+        }
+    }
+}
+
 TEST(IslandEquivalence, IslandCountValidation)
 {
     // The column-band partition rejects impossible cuts with the

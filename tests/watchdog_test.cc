@@ -3,12 +3,13 @@
  * The run-loop watchdog and the ingress backpressure path under
  * event-horizon fast-forward.
  *
- * The warp clamps its target to the cycle where the watchdog would
- * next look (see VipSystem::run), so a machine that stops making
- * progress throws DeadlockError at the same point whether or not dead
- * cycles are being skipped — warped cycles count toward the
- * no-progress window. The error carries a human-readable diagnosis of
- * the stuck machine state and leaves the system object intact.
+ * Rounds of the run loop end where the watchdog next looks, and warps
+ * stop short of it (see IslandScheduler::decideNextRound), so a
+ * machine that stops making progress throws DeadlockError at the same
+ * cycle for any island count and whether or not dead cycles are being
+ * skipped — warped cycles count toward the no-progress window. The
+ * error carries a human-readable diagnosis of the stuck machine state
+ * and leaves the system object intact.
  */
 
 #include <gtest/gtest.h>
@@ -72,6 +73,38 @@ TEST(Watchdog, FiresWithoutFastForward)
     VipSystem sys(cfg);
     sys.pe(0).loadProgram(stalledProgram());
     EXPECT_THROW(sys.run(1'000'000), DeadlockError);
+}
+
+TEST(Watchdog, SameDeadlockCycleForAnyIslandCount)
+{
+    // The oracle is one island without fast-forward; a second island
+    // and the warps must not move the cycle the deadlock is reported
+    // at.
+    auto deadlock_message = [](unsigned islands, bool ff) {
+        SystemConfig cfg = makeSystemConfig(4, 1);
+        cfg.islands = islands;
+        cfg.fastForward = ff;
+        cfg.watchdogCycles = 100;
+        VipSystem sys(cfg);
+        sys.pe(0).loadProgram(stalledProgram());
+        try {
+            sys.run(1'000'000);
+        } catch (const DeadlockError &e) {
+            return e.message();
+        }
+        ADD_FAILURE() << "watchdog did not fire: islands=" << islands
+                      << " ff=" << ff;
+        return std::string{};
+    };
+
+    const std::string oracle = deadlock_message(1, false);
+    EXPECT_NE(oracle.find("cycle"), std::string::npos) << oracle;
+    for (const unsigned islands : {1u, 2u}) {
+        for (const bool ff : {true, false}) {
+            EXPECT_EQ(deadlock_message(islands, ff), oracle)
+                << "islands=" << islands << " ff=" << ff;
+        }
+    }
 }
 
 TEST(Watchdog, SystemSurvivesTheThrow)

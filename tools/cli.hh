@@ -55,7 +55,7 @@ struct CommonOptions
     std::string jsonStatsPath;  ///< empty = no JSON dump; "-" = stdout
     bool fastForward = true;    ///< false after --no-fast-forward
     std::string injectSpec;     ///< empty = no fault campaign
-    unsigned islands = 1;       ///< 1 = serial tick loop
+    unsigned islands = 1;       ///< 1 = one island, calling thread
     bool fastPath = true;       ///< false after --no-fast-path
 };
 
