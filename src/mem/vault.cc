@@ -12,6 +12,7 @@ VaultController::VaultController(unsigned vaultId, const MemConfig &cfg,
                                  StatGroup *parent)
     : vaultId_(vaultId), cfg_(cfg), mapper_(mapper),
       banks_(cfg.geom.banksPerVault),
+      cand_(cfg.geom.banksPerVault),
       trans_(cfg.transQueueDepth),
       nextRefreshAt_(cfg.timing.tREFI),
       statGroup_("vault" + std::to_string(vaultId), parent),
@@ -72,14 +73,24 @@ VaultController::splitIntoColumns(std::size_t trans_index)
         const std::uint64_t chunk = std::min<std::uint64_t>(remaining,
                                                             within);
         Bank &bank = banks_[c.bank];
-        if (!bank.active) {
-            bank.active = true;
-            activeBanks_.push_back(c.bank);
+        BankCandidates &cand = cand_[c.bank];
+        const std::uint64_t seq = nextSeq_++;
+        bank.cols.push_back({seq, c.row, c.col, req.isWrite, trans_index,
+                             req.issuedAt});
+        // The newest access becomes a candidate only where its bank
+        // had none of its class.
+        if (!bank.rowOpen) {
+            if (cand.prog.seq == kNoSeq)
+                cand.prog = {seq, bank.actAllowedAt};
+        } else if (c.row == bank.openRow) {
+            if (cand.hit.seq == kNoSeq) {
+                cand.hit = {seq, std::max(bank.colAllowedAt,
+                                          bank.colCmdAllowedAt)};
+                bank.hitPos = bank.cols.size() - 1;
+            }
+        } else if (cand.prog.seq == kNoSeq) {
+            cand.prog = {seq, bank.preAllowedAt};
         }
-        bank.cols.push_back({nextSeq_++, c.row, c.col, req.isWrite,
-                             trans_index, req.issuedAt});
-        if (bank.rowOpen && bank.openRow == c.row)
-            ++bank.hitQueued;
         ++totalColumns_;
         ++t.pendingColumns;
         addr += chunk;
@@ -129,11 +140,12 @@ VaultController::finishColumn(std::size_t trans_index, Cycles now)
 void
 VaultController::beginRefresh(Cycles now)
 {
-    for (auto &bank : banks_) {
+    for (unsigned bi = 0; bi < banks_.size(); ++bi) {
+        Bank &bank = banks_[bi];
         bank.rowOpen = false;
-        bank.hitQueued = 0;
         bank.actAllowedAt = std::max(bank.actAllowedAt,
                                      now + cfg_.timing.tRFC);
+        publishClosed(bi);
     }
     refreshUntil_ = now + cfg_.timing.tRFC;
     nextRefreshAt_ += cfg_.timing.tREFI;
@@ -176,22 +188,25 @@ VaultController::catchUpRefreshes(Cycles until)
 }
 
 void
-VaultController::deactivateBank(unsigned bank_idx)
+VaultController::publishClosed(unsigned bank_idx)
 {
-    banks_[bank_idx].active = false;
-    auto it = std::find(activeBanks_.begin(), activeBanks_.end(),
-                        bank_idx);
-    vip_assert(it != activeBanks_.end(), "bank missing from active list");
-    *it = activeBanks_.back();
-    activeBanks_.pop_back();
+    const Bank &bank = banks_[bank_idx];
+    cand_[bank_idx].hit = {};
+    cand_[bank_idx].prog =
+        bank.cols.empty()
+            ? Candidate{}
+            : Candidate{bank.cols.front().seq, bank.actAllowedAt};
 }
 
 void
-VaultController::issueColumn(unsigned bank_idx, Cycles now,
-                             std::deque<ColumnAccess>::iterator it)
+VaultController::issueColumn(unsigned bank_idx, Cycles now)
 {
     Bank &bank = banks_[bank_idx];
+    BankCandidates &cand = cand_[bank_idx];
+    const auto it = bank.cols.begin() + bank.hitPos;
     const ColumnAccess ca = *it;
+    vip_assert(bank.rowOpen && ca.row == bank.openRow,
+               "stale row-hit candidate in bank ", bank_idx);
     const DramTiming &t = cfg_.timing;
 
     // Data occupies the shared TSVs for tBurst beats (the vault-wide
@@ -210,111 +225,63 @@ VaultController::issueColumn(unsigned bank_idx, Cycles now,
 
     bank.cols.erase(it);
     --totalColumns_;
-    if (bank.cols.empty())
-        deactivateBank(bank_idx);
-    vip_assert(bank.hitQueued > 0, "issued hit was not counted");
-    --bank.hitQueued;
 
-    if (cfg_.pagePolicy == PagePolicy::Closed && bank.hitQueued == 0) {
+    // Everything ahead of the issued hit needs another row, so the
+    // next hit (if any) is behind it.
+    const auto next = std::find_if(
+        bank.cols.begin() + bank.hitPos, bank.cols.end(),
+        [&](const ColumnAccess &c) { return c.row == bank.openRow; });
+    if (next != bank.cols.end()) {
+        bank.hitPos = static_cast<std::size_t>(next - bank.cols.begin());
+        cand.hit = {next->seq,
+                    std::max(bank.colAllowedAt, bank.colCmdAllowedAt)};
+    } else if (cfg_.pagePolicy == PagePolicy::Closed) {
         // Auto-precharge: no other queued access needs this row.
         bank.rowOpen = false;
         bank.actAllowedAt = std::max(bank.preAllowedAt,
                                      ca.isWrite ? done_at + t.tWR
                                                 : done_at) +
                             t.tRP;
+        publishClosed(bank_idx);
+        return;
+    } else {
+        cand.hit = {};
     }
-}
-
-bool
-VaultController::issueOldestHit(Cycles now)
-{
-    // FR-FCFS first pass. Within one bank every open-row access shares
-    // the same timing gates, so the bank's oldest hit is its only
-    // candidate; across banks the globally oldest eligible candidate
-    // is exactly the access a front-to-back scan of one combined
-    // arrival-ordered queue would have issued.
-    unsigned best_bank = 0;
-    std::deque<ColumnAccess>::iterator best_it;
-    std::uint64_t best_seq = ~0ull;
-    for (const unsigned bi : activeBanks_) {
-        Bank &bank = banks_[bi];
-        if (!bank.rowOpen || bank.hitQueued == 0)
-            continue;
-        if (now < bank.colAllowedAt || now < bank.colCmdAllowedAt ||
-            now < colIssueAllowedAt_) {
-            continue;
-        }
-        auto it = bank.cols.begin();
-        while (it->row != bank.openRow)
-            ++it;
-        if (it->seq < best_seq) {
-            best_seq = it->seq;
-            best_bank = bi;
-            best_it = it;
-        }
-    }
-    if (best_seq == ~0ull)
-        return false;
-    issueColumn(best_bank, now, best_it);
-    return true;
+    // A write's recovery may have moved the precharge gate.
+    if (cand.prog.seq != kNoSeq)
+        cand.prog.at = bank.preAllowedAt;
 }
 
 void
-VaultController::progressOldest(Cycles now)
+VaultController::activate(unsigned bank_idx, Cycles now)
 {
-    // Oldest-first row-state progress. A bank contributes one
-    // candidate: with its row open, the oldest access needing a
-    // different row (precharge); with its row closed, its oldest
-    // access (activate). Same-class accesses within a bank share the
-    // timing gate, so taking the globally oldest eligible candidate
-    // reproduces the arrival-ordered scan exactly.
+    Bank &bank = banks_[bank_idx];
     const DramTiming &t = cfg_.timing;
-    Bank *best = nullptr;
-    std::uint64_t best_seq = ~0ull;
-    bool best_is_activate = false;
-    for (const unsigned bi : activeBanks_) {
-        Bank &bank = banks_[bi];
-        if (bank.rowOpen) {
-            if (bank.cols.size() == bank.hitQueued)
-                continue;  // everything queued hits the open row
-            if (now < bank.preAllowedAt)
-                continue;
-            auto it = bank.cols.begin();
-            while (it->row == bank.openRow)
-                ++it;
-            if (it->seq < best_seq) {
-                best_seq = it->seq;
-                best = &bank;
-                best_is_activate = false;
-            }
-        } else {
-            if (now < bank.actAllowedAt)
-                continue;
-            if (bank.cols.front().seq < best_seq) {
-                best_seq = bank.cols.front().seq;
-                best = &bank;
-                best_is_activate = true;
-            }
-        }
-    }
-    if (best == nullptr)
-        return;
+    bank.rowOpen = true;
+    bank.openRow = bank.cols.front().row;
+    bank.colAllowedAt = now + t.tRCD;
+    bank.preAllowedAt = now + t.tRAS;
+    bank.hitPos = 0;
+    cand_[bank_idx].hit = {bank.cols.front().seq,
+                           std::max(bank.colAllowedAt,
+                                    bank.colCmdAllowedAt)};
+    const auto miss = std::find_if(
+        bank.cols.begin() + 1, bank.cols.end(),
+        [&](const ColumnAccess &c) { return c.row != bank.openRow; });
+    cand_[bank_idx].prog = miss == bank.cols.end()
+                               ? Candidate{}
+                               : Candidate{miss->seq, bank.preAllowedAt};
+    stats_.rowMisses += 1;
+}
 
-    if (best_is_activate) {
-        best->rowOpen = true;
-        best->openRow = best->cols.front().row;
-        best->colAllowedAt = now + t.tRCD;
-        best->preAllowedAt = now + t.tRAS;
-        best->hitQueued = static_cast<unsigned>(std::count_if(
-            best->cols.begin(), best->cols.end(),
-            [&](const ColumnAccess &c) { return c.row == best->openRow; }));
-        stats_.rowMisses += 1;
-    } else {
-        best->rowOpen = false;
-        best->hitQueued = 0;
-        best->actAllowedAt = std::max(best->actAllowedAt, now + t.tRP);
-        stats_.rowConflicts += 1;
-    }
+void
+VaultController::precharge(unsigned bank_idx, Cycles now)
+{
+    Bank &bank = banks_[bank_idx];
+    bank.rowOpen = false;
+    bank.actAllowedAt = std::max(bank.actAllowedAt, now + cfg_.timing.tRP);
+    publishClosed(bank_idx);
+    stats_.rowConflicts += 1;
 }
 
 void
@@ -340,51 +307,51 @@ VaultController::issueCommand(Cycles now)
     if (totalColumns_ == 0)
         return;
 
-    // First pass (FR-FCFS): issue the oldest row-hit column access.
-    if (issueOldestHit(now))
+    // FR-FCFS over the candidate table: the globally oldest eligible
+    // row hit, when the data bus is free, else the globally oldest
+    // eligible row-state progress. This is exactly the access a
+    // front-to-back scan of one arrival-ordered queue would pick.
+    unsigned hit_bank = 0, prog_bank = 0;
+    std::uint64_t hit_seq = kNoSeq, prog_seq = kNoSeq;
+    for (unsigned bi = 0; bi < cand_.size(); ++bi) {
+        const BankCandidates &c = cand_[bi];
+        if (c.hit.at <= now && c.hit.seq < hit_seq) {
+            hit_seq = c.hit.seq;
+            hit_bank = bi;
+        }
+        if (c.prog.at <= now && c.prog.seq < prog_seq) {
+            prog_seq = c.prog.seq;
+            prog_bank = bi;
+        }
+    }
+    if (hit_seq != kNoSeq && now >= colIssueAllowedAt_)
+        issueColumn(hit_bank, now);
+    else if (prog_seq == kNoSeq)
         return;
-    // Second pass: make row-state progress for the oldest access.
-    progressOldest(now);
+    else if (banks_[prog_bank].rowOpen)
+        precharge(prog_bank, now);
+    else
+        activate(prog_bank, now);
 }
 
 Cycles
 VaultController::earliestCommandAt(Cycles from) const
 {
-    // Refresh fires unconditionally at its deadline (and changes bank
-    // state and the refresh counter), so it is always a hard event.
-    Cycles next = std::max(nextRefreshAt_, from);
-    if (totalColumns_ == 0)
-        return next;
-
-    // No command issues while the refresh window is open. Each bank
-    // contributes at most one candidate per access class it has
-    // queued; the per-access minimum collapses to this because
-    // same-class accesses within a bank share every timing gate.
-    for (const unsigned bi : activeBanks_) {
-        const Bank &bank = banks_[bi];
-        if (bank.rowOpen) {
-            if (bank.hitQueued > 0) {
-                // Row hit: gated by tRCD, this bank's tCCD, and the
-                // vault-wide data-bus (tBurst) constraint.
-                next = std::min(next,
-                                std::max({refreshUntil_, bank.colAllowedAt,
-                                          bank.colCmdAllowedAt,
-                                          colIssueAllowedAt_}));
-            }
-            if (bank.cols.size() > bank.hitQueued) {
-                // Conflict: the wrong row closes once tRAS/tWR allow.
-                next = std::min(next,
-                                std::max(refreshUntil_, bank.preAllowedAt));
-            }
-        } else {
-            // Precharged: activates once tRP/tRFC allow.
-            next = std::min(next,
-                            std::max(refreshUntil_, bank.actAllowedAt));
-        }
-        if (next <= from)
-            return from;
+    Cycles min_hit = kIdleForever;
+    Cycles min_prog = kIdleForever;
+    for (const BankCandidates &c : cand_) {
+        min_hit = std::min(min_hit, c.hit.at);
+        min_prog = std::min(min_prog, c.prog.at);
     }
-    return next;
+    // Refresh fires unconditionally at its deadline; nothing else
+    // issues inside the refresh window; a hit also waits for the
+    // vault-wide data bus.
+    return std::max(
+        from, std::min(nextRefreshAt_,
+                       std::max(refreshUntil_,
+                                std::min(std::max(min_hit,
+                                                  colIssueAllowedAt_),
+                                         min_prog))));
 }
 
 Cycles

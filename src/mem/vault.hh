@@ -3,6 +3,12 @@
  * Cycle-level model of one HMC vault: 16 banks sharing data TSVs, a
  * transaction queue, a command scheduler (FR-FCFS for the open-page
  * policy, auto-precharge for closed-page), and a refresh controller.
+ *
+ * The scheduler never walks a bank queue on a pass. Each bank publishes
+ * its oldest row hit and its oldest row-progress access, with the cycle
+ * each clears its timing gates, into a flat candidate table whenever
+ * its own state changes; a pass and the wake cycle are min-scans over
+ * that table.
  */
 
 #ifndef VIP_MEM_VAULT_HH
@@ -173,16 +179,34 @@ class VaultController
         /** This bank's queued accesses, oldest first. */
         std::deque<ColumnAccess> cols;
 
-        /** True while cols is nonempty (listed in activeBanks_). */
-        bool active = false;
+        /** Position in @c cols of the hit candidate (valid with one). */
+        std::size_t hitPos = 0;
+    };
 
+    static constexpr std::uint64_t kNoSeq = ~0ull;
+
+    /**
+     * One bank's oldest access of one class and the cycle its timing
+     * gates clear. Same-class accesses within a bank share every gate,
+     * so the oldest is the bank's only candidate of that class.
+     */
+    struct Candidate
+    {
+        std::uint64_t seq = kNoSeq;
+        Cycles at = kIdleForever;  ///< kIdleForever: no candidate
+    };
+
+    /** A bank's two published FR-FCFS candidates. */
+    struct BankCandidates
+    {
+        /** Oldest access to the open row; gate: tRCD and tCCD. */
+        Candidate hit;
         /**
-         * How many of @c cols target @c openRow, maintained while the
-         * row is open (meaningless when closed). Lets the scheduler
-         * and nextEventAt() classify a bank without scanning its
-         * queue.
+         * Oldest access needing row-state progress: with the row open
+         * the oldest non-hit (precharge, gate tRAS/tWR); with it
+         * closed the front access (activate, gate tRP/tRFC).
          */
-        unsigned hitQueued = 0;
+        Candidate prog;
     };
 
     struct CompletionEvent
@@ -200,11 +224,11 @@ class VaultController
     void splitIntoColumns(std::size_t trans_index);
     /** Issue at most one command (refresh, column, row) at @p now. */
     void issueCommand(Cycles now);
-    bool issueOldestHit(Cycles now);
-    void issueColumn(unsigned bank_idx, Cycles now,
-                     std::deque<ColumnAccess>::iterator it);
-    void deactivateBank(unsigned bank_idx);
-    void progressOldest(Cycles now);
+    void issueColumn(unsigned bank_idx, Cycles now);
+    void activate(unsigned bank_idx, Cycles now);
+    void precharge(unsigned bank_idx, Cycles now);
+    /** Publish a closed bank's candidates: its front access activates. */
+    void publishClosed(unsigned bank_idx);
 
     /**
      * First cycle >= @p from at which issueCommand() could act: the
@@ -223,12 +247,13 @@ class VaultController
     std::vector<Bank> banks_;
 
     /**
-     * Indices of banks with queued accesses, unordered. The scheduler
-     * passes and nextEventAt() are min-computations over banks, so
-     * iteration order is free — which keeps ticks O(busy banks)
-     * instead of O(all banks) for sparse traffic.
+     * The FR-FCFS candidate table, one entry per bank. A bank
+     * re-publishes its entry only on its own edges (a column queued or
+     * issued, an activate, a precharge, a refresh), so a scheduler
+     * pass and earliestCommandAt() are flat min-scans over the table
+     * that never walk a queue.
      */
-    std::vector<unsigned> activeBanks_;
+    std::vector<BankCandidates> cand_;
 
     std::vector<Transaction> trans_;
     std::vector<std::size_t> freeSlots_;  ///< free transaction slots

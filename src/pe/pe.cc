@@ -319,8 +319,9 @@ Pe::issueVector(const Uop &u, Cycles now)
     const unsigned w = u.wBytes;
     const auto vl = static_cast<unsigned>(vl_);
 
-    // Gather the scratchpad ranges this instruction touches.
-    struct Range { SpAddr start; unsigned bytes; };
+    // Gather the scratchpad ranges this instruction touches, with the
+    // full 64-bit register values so the bounds check cannot wrap.
+    struct Range { std::uint64_t start; unsigned bytes; };
     Range ranges[3];
     unsigned nranges = 0;
     Cycles occupancy = 0;
@@ -331,28 +332,25 @@ Pe::issueVector(const Uop &u, Cycles now)
                    "m.v issued on a configuration without the reduction "
                    "unit (Fig. 4 ablation)");
         const auto mr = static_cast<unsigned>(mr_);
-        ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rs1]),
-                             mr * vl * w};
-        ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rs2]), vl * w};
-        ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rd]), mr * w};
+        ranges[nranges++] = {regs_[u.rs1], mr * vl * w};
+        ranges[nranges++] = {regs_[u.rs2], vl * w};
+        ranges[nranges++] = {regs_[u.rd], mr * w};
         occupancy = std::max<Cycles>(1, (vl * w + 7) / 8) * mr;
     } else {
-        ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rs1]), vl * w};
-        if (u.op == Opcode::VecVec) {
-            ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rs2]),
-                                 vl * w};
-        }
-        ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rd]), vl * w};
+        ranges[nranges++] = {regs_[u.rs1], vl * w};
+        if (u.op == Opcode::VecVec)
+            ranges[nranges++] = {regs_[u.rs2], vl * w};
+        ranges[nranges++] = {regs_[u.rd], vl * w};
         occupancy = std::max<Cycles>(1, (vl * w + 7) / 8);
     }
 
     for (unsigned i = 0; i < nranges; ++i) {
-        vip_assert(ranges[i].start + ranges[i].bytes <= Scratchpad::kBytes,
+        vip_assert(Scratchpad::contains(ranges[i].start, ranges[i].bytes),
                    "vector operand [", ranges[i].start, ", ",
                    ranges[i].start + ranges[i].bytes,
                    ") outside the scratchpad");
-        if (arc_.overlaps(ranges[i].start,
-                          ranges[i].start + ranges[i].bytes)) {
+        const auto start = static_cast<SpAddr>(ranges[i].start);
+        if (arc_.overlaps(start, start + ranges[i].bytes)) {
             // The blocking entry is either a vector-pipeline entry
             // (known retirement time) or a memory entry cleared by a
             // completion event; either way the earliest pipeline
@@ -375,7 +373,8 @@ Pe::issueVector(const Uop &u, Cycles now)
         // entry held until the pipeline writes it back, so later
         // instructions stall instead of observing the timing shadow.
         const auto &dst = ranges[nranges - 1];
-        const int id = arc_.allocate(dst.start, dst.start + dst.bytes);
+        const auto start = static_cast<SpAddr>(dst.start);
+        const int id = arc_.allocate(start, start + dst.bytes);
         if (id < 0)
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         vecArcPending_.emplace_back(done_at, id);
@@ -490,6 +489,21 @@ Pe::issueDramTransfer(Addr dram, unsigned bytes, bool is_write, int arc_id,
     return true;
 }
 
+std::pair<SpAddr, unsigned>
+Pe::sramRange(const Uop &u, const char *what) const
+{
+    // Checked on the full 64-bit register values before any narrowing,
+    // so no start address or element count can wrap into range.
+    const std::uint64_t start = regs_[u.rd];
+    const std::uint64_t count = regs_[u.rs2];
+    const unsigned w = u.wBytes;
+    vip_assert(count > 0 && count <= Scratchpad::kBytes / w &&
+                   Scratchpad::contains(start, count * w),
+               what, " of ", count, " x ", w, " B at sp[", start,
+               "] outside the scratchpad");
+    return {static_cast<SpAddr>(start), static_cast<unsigned>(count * w)};
+}
+
 bool
 Pe::issueMemory(const Uop &u, Cycles now)
 {
@@ -499,12 +513,8 @@ Pe::issueMemory(const Uop &u, Cycles now)
 
     switch (u.op) {
       case Opcode::LdSram: {
-        const auto sp = static_cast<SpAddr>(regs_[u.rd]);
+        const auto [sp, bytes] = sramRange(u, "ld.sram");
         const Addr dram = regs_[u.rs1];
-        const auto bytes = static_cast<unsigned>(regs_[u.rs2] * w);
-        vip_assert(bytes > 0 && sp + bytes <= Scratchpad::kBytes,
-                   "ld.sram range [", sp, ", ", sp + bytes,
-                   ") outside the scratchpad");
         if (arc_.overlaps(sp, sp + bytes))
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         if (arc_.full())
@@ -526,12 +536,8 @@ Pe::issueMemory(const Uop &u, Cycles now)
         return true;
       }
       case Opcode::StSram: {
-        const auto sp = static_cast<SpAddr>(regs_[u.rd]);
+        const auto [sp, bytes] = sramRange(u, "st.sram");
         const Addr dram = regs_[u.rs1];
-        const auto bytes = static_cast<unsigned>(regs_[u.rs2] * w);
-        vip_assert(bytes > 0 && sp + bytes <= Scratchpad::kBytes,
-                   "st.sram range [", sp, ", ", sp + bytes,
-                   ") outside the scratchpad");
         if (arc_.overlaps(sp, sp + bytes))
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         checkReadHazard(sp, bytes, now);

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "isa/isa.hh"
@@ -244,6 +245,9 @@ class Pe
     bool issueVector(const Uop &u, Cycles now);
     bool issueMemory(const Uop &u, Cycles now);
     bool issueConfig(const Uop &u, Cycles now);
+    /** The ld.sram/st.sram scratchpad range; asserts it is in bounds. */
+    std::pair<SpAddr, unsigned> sramRange(const Uop &u,
+                                          const char *what) const;
 
     bool regsReady(const Uop &u, Cycles now) const;
     bool regReady(unsigned r, Cycles now) const;

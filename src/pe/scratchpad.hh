@@ -16,6 +16,11 @@
  * latency to the programmer (Sec. III-A), so well-scheduled code never
  * does this. The hazard checker lets tests prove our generated kernels
  * are correctly scheduled.
+ *
+ * The per-byte clock is the source of truth. A summary keeps, for each
+ * aligned 8-byte granule, the max of its bytes' ready clocks; the
+ * queries consult it first and scan bytes only in granules it cannot
+ * clear on its own.
  */
 
 #ifndef VIP_PE_SCRATCHPAD_HH
@@ -34,6 +39,18 @@ class Scratchpad
   public:
     static constexpr unsigned kBytes = 4096;
     static constexpr unsigned kBanks = 8;
+    static constexpr unsigned kGranule = 8;  ///< bytes per summary entry
+
+    /**
+     * True when [addr, addr + bytes) lies inside the scratchpad.
+     * Computed without wrapping, so it is safe for any 64-bit register
+     * value before it is narrowed to an SpAddr.
+     */
+    static constexpr bool
+    contains(std::uint64_t addr, std::uint64_t bytes)
+    {
+        return addr <= kBytes && bytes <= kBytes - addr;
+    }
 
     void read(SpAddr addr, void *dst, unsigned bytes) const;
     void write(SpAddr addr, const void *src, unsigned bytes);
@@ -106,6 +123,8 @@ class Scratchpad
   private:
     std::array<std::uint8_t, kBytes> data_{};
     std::array<Cycles, kBytes> readyAt_{};
+    /** Max of readyAt_ over each aligned kGranule-byte granule. */
+    std::array<Cycles, kBytes / kGranule> granuleReadyAt_{};
 };
 
 } // namespace vip

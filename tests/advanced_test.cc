@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/conv_kernel.hh"
@@ -332,6 +336,65 @@ TEST(Scratchpad, ReadyTimeTracking)
     // A streamed read starting at the same base chases the writer.
     EXPECT_FALSE(sp.hazardousStreamRead(100, 32, 200));
     EXPECT_TRUE(sp.hazardousStreamRead(100, 32, 199));
+}
+
+TEST(Scratchpad, GranuleSummaryMatchesByteScan)
+{
+    // The per-granule summary is only a shortcut: every query must
+    // answer exactly as a byte-wise scan of the ready clocks. Seeded
+    // interleavings of both mark kinds, unaligned and overlapping, with
+    // lengths from one byte to the end of the scratchpad.
+    constexpr unsigned kBytes = Scratchpad::kBytes;
+    Rng rng(0x6a4e5u);
+    auto pick = [&] {
+        const auto addr = static_cast<SpAddr>(rng.nextBelow(kBytes));
+        const unsigned room = kBytes - addr;
+        const auto bytes = static_cast<unsigned>(
+            1 + rng.nextBelow(rng.nextBelow(4) == 0 ? room
+                                                    : std::min(room, 80u)));
+        return std::pair<SpAddr, unsigned>{addr, bytes};
+    };
+    for (unsigned trial = 0; trial < 8; ++trial) {
+        Scratchpad sp;
+        std::vector<Cycles> ref(kBytes, 0);
+        for (Cycles now = 8; now < 2000; now += 8) {
+            const auto [addr, bytes] = pick();
+            const Cycles at = now + rng.nextBelow(64);
+            const bool stream = rng.nextBelow(2) == 0;
+            if (stream)
+                sp.markReadyStream(addr, bytes, at);
+            else
+                sp.markReadyAt(addr, bytes, at);
+            for (unsigned i = 0; i < bytes; ++i) {
+                ref[addr + i] =
+                    std::max(ref[addr + i], stream ? at + i / 8 : at);
+            }
+
+            // Random ranges, plus the range just marked read right at
+            // (and one cycle either side of) its own base.
+            for (unsigned q = 0; q < 6; ++q) {
+                auto [qa, qb] = pick();
+                Cycles base = now + rng.nextBelow(96);
+                if (q >= 3) {
+                    qa = addr;
+                    qb = bytes;
+                    base = at + q - 4;
+                }
+                bool hazard = false;
+                Cycles ready = 0;
+                for (unsigned i = 0; i < qb; ++i) {
+                    hazard = hazard || ref[qa + i] > base + i / 8;
+                    ready = std::max(ready, ref[qa + i]);
+                }
+                ASSERT_EQ(sp.hazardousStreamRead(qa, qb, base), hazard)
+                    << "trial " << trial << " read [" << qa << ", "
+                    << qa + qb << ") at " << base;
+                ASSERT_EQ(sp.readyAt(qa, qb), ready)
+                    << "trial " << trial << " range [" << qa << ", "
+                    << qa + qb << ")";
+            }
+        }
+    }
 }
 
 TEST(Arc, AllocateOverlapClear)

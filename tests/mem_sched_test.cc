@@ -2,15 +2,19 @@
  * @file
  * Focused tests of the vault scheduler's timing behavior: write
  * recovery, bank-level pipelining, FR-FCFS reordering, per-bank tCCD
- * pacing, closed-page row-burst retention, and latency histograms.
+ * pacing, closed-page row-burst retention, latency histograms, and
+ * seeded random traffic pinned to golden completion times.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "mem/vault.hh"
+#include "sim/rng.hh"
 
 namespace vip {
 namespace {
@@ -199,6 +203,125 @@ TEST(VaultSched, ReadsAndWritesShareTheDataBus)
     EXPECT_EQ(h.vault.stats().writeBytes.value(), 3u * 64);
     EXPECT_EQ(h.vault.stats().readBytes.value(), 3u * 64);
     EXPECT_EQ(h.vault.stats().reqCount.value(), 6u);
+}
+
+/** What SeededTrafficGolden pins for one configuration. */
+struct TrafficDigest
+{
+    std::uint64_t completionHash;
+    std::uint64_t rowHits;
+    std::uint64_t rowMisses;
+    std::uint64_t rowConflicts;
+    std::uint64_t refreshes;
+    std::uint64_t colCommands;
+
+    bool
+    operator==(const TrafficDigest &o) const
+    {
+        return completionHash == o.completionHash && rowHits == o.rowHits &&
+               rowMisses == o.rowMisses &&
+               rowConflicts == o.rowConflicts &&
+               refreshes == o.refreshes && colCommands == o.colCommands;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const TrafficDigest &d)
+{
+    return os << "{0x" << std::hex << d.completionHash << std::dec
+              << "ull, " << d.rowHits << ", " << d.rowMisses << ", "
+              << d.rowConflicts << ", " << d.refreshes << ", "
+              << d.colCommands << "}";
+}
+
+/**
+ * Seeded random reads and writes over three rows of every bank, in
+ * phases of silence, light traffic and a saturated queue, for four
+ * refresh intervals; then drain. Returns an FNV-1a hash of every
+ * (request index, completion cycle) pair plus the scheduler counters.
+ */
+TrafficDigest
+seededTraffic(const MemConfig &cfg, bool wake_gate)
+{
+    Harness h(cfg);
+    h.vault.setWakeGate(wake_gate);
+    Rng rng(0x5eedull + cfg.geom.banksPerVault +
+            (cfg.pagePolicy == PagePolicy::Closed ? 1 : 0));
+    const Cycles horizon = 4 * cfg.timing.tREFI;
+    std::vector<Cycles> done(horizon, 0);
+    std::size_t issued = 0;
+    for (; h.now < horizon; h.vault.tick(h.now++)) {
+        // 400-cycle phases: idle, one request per 8 cycles, saturated.
+        const unsigned phase = (h.now / 400) % 3;
+        const std::uint64_t draw = rng.next();
+        if (phase == 0 || (phase == 1 && draw % 8 != 0))
+            continue;
+        DramCoord c{};
+        c.bank = static_cast<unsigned>(rng.nextBelow(cfg.geom.banksPerVault));
+        // Mostly row 0, so hits queue up behind misses and conflicts.
+        c.row = rng.nextBelow(4) == 0 ? 1 + rng.nextBelow(2) : 0;
+        c.col = static_cast<unsigned>(rng.nextBelow(cfg.geom.colsPerRow()));
+        c.offset = static_cast<unsigned>(rng.nextBelow(cfg.geom.colBytes));
+        const auto bytes = static_cast<unsigned>(1 + rng.nextBelow(96));
+        const bool write = rng.nextBelow(3) == 0;
+        if (!h.vault.canAccept())
+            continue;
+        h.issue(h.mapper.encode(c), bytes, write, &done[issued++]);
+    }
+    h.drain();
+
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&](std::uint64_t v) {
+        for (unsigned i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    for (std::size_t i = 0; i < issued; ++i) {
+        mix(i);
+        mix(done[i]);
+    }
+    const auto &s = h.vault.stats();
+    EXPECT_GE(s.refreshes.value(), 3u);
+    return {hash, s.rowHits.value(), s.rowMisses.value(),
+            s.rowConflicts.value(), s.refreshes.value(),
+            s.colCommands.value()};
+}
+
+TEST(VaultSched, SeededTrafficGolden)
+{
+    // Pinned from the scheduler before its per-bank candidate table
+    // existed: any divergence in command order or timing moves the
+    // completion hash. The wake gate must not change a thing.
+    struct Case
+    {
+        PagePolicy policy;
+        bool moreBanks;
+        TrafficDigest golden;
+    };
+    const Case cases[] = {
+        {PagePolicy::Open, false,
+         {0x2163f3b208896981ull, 2111, 823, 761, 4, 2111}},
+        {PagePolicy::Open, true,
+         {0xb77fe3b350e18916ull, 2101, 744, 483, 4, 2101}},
+        {PagePolicy::Closed, false,
+         {0xa11f060cb044814aull, 2064, 978, 422, 4, 2064}},
+        {PagePolicy::Closed, true,
+         {0xf9365727f38cc326ull, 2126, 1191, 303, 4, 2126}},
+    };
+    for (const Case &c : cases) {
+        MemConfig cfg = oneVault();
+        cfg.pagePolicy = c.policy;
+        if (c.moreBanks)
+            cfg.geom.scaleBanks(true);
+        const TrafficDigest off = seededTraffic(cfg, false);
+        const TrafficDigest on = seededTraffic(cfg, true);
+        SCOPED_TRACE(testing::Message()
+                     << (c.policy == PagePolicy::Open ? "open" : "closed")
+                     << " page, " << cfg.geom.banksPerVault << " banks");
+        EXPECT_EQ(off, c.golden);
+        EXPECT_EQ(on, off) << "the wake gate changed the schedule";
+    }
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Unit and property tests for the PE microarchitecture: scalar
  * semantics, subword vector semantics with saturation, the composed
  * matrix-vector operations, ARC interlocking, valid-bit stalls,
- * memfence, v.drain, and the hazard checker.
+ * memfence, v.drain, the hazard checker, and scratchpad bounds.
  */
 
 #include <gtest/gtest.h>
@@ -503,6 +503,50 @@ TEST_F(PeTest, StSramRoundTripsToDram)
         EXPECT_EQ(sys_.dram().load<Fx16>(4096 + i * 2),
                   static_cast<Fx16>(100 + i));
     }
+}
+
+
+/** Run @p prog on a fresh one-PE machine (a death-test statement). */
+void
+runFresh(const std::vector<Instruction> &prog)
+{
+    VipSystem sys(makeSystemConfig(1, 1));
+    sys.pe(0).loadProgram(prog);
+    sys.run(1'000'000);
+}
+
+TEST(PeDeathTest, ScratchpadOperandsAreCheckedBeforeNarrowing)
+{
+    // Register values are 64-bit, scratchpad addresses 32-bit: a start
+    // near 2^32 must not wrap its end back into range, and one above
+    // 2^32 must not alias a low address.
+    auto sram = [](bool store, std::int64_t sp) {
+        AsmBuilder b;
+        b.movImm(1, 16);
+        b.movImm(10, 0x1000);
+        b.movImm(20, sp);
+        if (store)
+            b.stSram(20, 10, 1, ElemWidth::W8);
+        else
+            b.ldSram(20, 10, 1, ElemWidth::W8);
+        b.memfence();
+        b.halt();
+        return b.finish();
+    };
+    EXPECT_DEATH(runFresh(sram(true, 0xFFFFFFF0)), "outside the scratchpad");
+    EXPECT_DEATH(runFresh(sram(true, 0x100000010)),
+                 "outside the scratchpad");
+    EXPECT_DEATH(runFresh(sram(false, 0xFFFFFFF0)),
+                 "outside the scratchpad");
+
+    AsmBuilder vv;
+    vv.movImm(1, 16);
+    vv.setVl(1);
+    vv.movImm(20, 0xFFFFFFF0);
+    vv.movImm(21, 0);
+    vv.vv(VecOp::Add, 22, 20, 21, ElemWidth::W8);
+    vv.halt();
+    EXPECT_DEATH(runFresh(vv.finish()), "outside the scratchpad");
 }
 
 } // namespace
