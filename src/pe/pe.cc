@@ -227,16 +227,20 @@ Pe::issueConfig(const Uop &u, Cycles now)
 {
     if (!regsReady(u, now))
         return stallFor(stats_.stallScalar, regsWakeAt(u));
-    if (u.op == Opcode::SetVl) {
-        vl_ = regs_[u.rs1];
-        vip_assert(vl_ > 0 && vl_ <= Scratchpad::kBytes,
-                   "set.vl with illegal length ", vl_);
-    } else {
-        mr_ = regs_[u.rs1];
-        vip_assert(mr_ > 0 && mr_ <= Scratchpad::kBytes,
-                   "set.mr with illegal row count ", mr_);
-    }
+    applyConfig(u);
     return true;
+}
+
+void
+Pe::applyConfig(const Uop &u)
+{
+    const std::uint64_t v = regs_[u.rs1];
+    if (v == 0 || v > Scratchpad::kBytes) {
+        programFault(u.op == Opcode::SetVl ? "set.vl with illegal length "
+                                           : "set.mr with illegal row count ",
+                     v);
+    }
+    (u.op == Opcode::SetVl ? vl_ : mr_) = v;
 }
 
 bool
@@ -314,7 +318,8 @@ Pe::issueVector(const Uop &u, Cycles now)
         return stallFor(stats_.stallScalar, regsWakeAt(u));
     if (now < vectorBusyUntil_)
         return stallFor(stats_.stallVectorBusy, vectorBusyUntil_);
-    vip_assert(vl_ > 0, "vector instruction with VL unset");
+    if (vl_ == 0)
+        programFault("vector instruction with VL unset");
 
     const unsigned w = u.wBytes;
     const auto vl = static_cast<unsigned>(vl_);
@@ -327,7 +332,8 @@ Pe::issueVector(const Uop &u, Cycles now)
     Cycles occupancy = 0;
 
     if (u.op == Opcode::MatVec) {
-        vip_assert(mr_ > 0, "m.v with MR unset");
+        if (mr_ == 0)
+            programFault("m.v with MR unset");
         vip_assert(cfg_.enableReduction,
                    "m.v issued on a configuration without the reduction "
                    "unit (Fig. 4 ablation)");
@@ -345,10 +351,11 @@ Pe::issueVector(const Uop &u, Cycles now)
     }
 
     for (unsigned i = 0; i < nranges; ++i) {
-        vip_assert(Scratchpad::contains(ranges[i].start, ranges[i].bytes),
-                   "vector operand [", ranges[i].start, ", ",
-                   ranges[i].start + ranges[i].bytes,
-                   ") outside the scratchpad");
+        if (!Scratchpad::contains(ranges[i].start, ranges[i].bytes)) {
+            programFault("vector operand [", ranges[i].start, ", ",
+                         ranges[i].start + ranges[i].bytes,
+                         ") outside the scratchpad");
+        }
         const auto start = static_cast<SpAddr>(ranges[i].start);
         if (arc_.overlaps(start, start + ranges[i].bytes)) {
             // The blocking entry is either a vector-pipeline entry
@@ -497,10 +504,11 @@ Pe::sramRange(const Uop &u, const char *what) const
     const std::uint64_t start = regs_[u.rd];
     const std::uint64_t count = regs_[u.rs2];
     const unsigned w = u.wBytes;
-    vip_assert(count > 0 && count <= Scratchpad::kBytes / w &&
-                   Scratchpad::contains(start, count * w),
-               what, " of ", count, " x ", w, " B at sp[", start,
-               "] outside the scratchpad");
+    if (count == 0 || count > Scratchpad::kBytes / w ||
+        !Scratchpad::contains(start, count * w)) {
+        programFault(what, " of ", count, " x ", w, " B at sp[", start,
+                     "] outside the scratchpad");
+    }
     return {static_cast<SpAddr>(start), static_cast<unsigned>(count * w)};
 }
 
@@ -695,15 +703,7 @@ Pe::execFastBlock(const FastBlock &b, Cycles at)
             ++pc_;
             break;
           case UopClass::Config:
-            if (u.op == Opcode::SetVl) {
-                vl_ = regs_[u.rs1];
-                vip_assert(vl_ > 0 && vl_ <= Scratchpad::kBytes,
-                           "set.vl with illegal length ", vl_);
-            } else {
-                mr_ = regs_[u.rs1];
-                vip_assert(mr_ > 0 && mr_ <= Scratchpad::kBytes,
-                           "set.mr with illegal row count ", mr_);
-            }
+            applyConfig(u);
             ++pc_;
             break;
           case UopClass::Branch:
@@ -830,8 +830,8 @@ Pe::tick(Cycles now)
         // these cycles were consumed by execFastBlock already.
         return;
     }
-    vip_assert(pc_ < prog_.size(), "pe", cfg_.peId,
-               ": PC ran off the end of the program");
+    if (pc_ >= prog_.size())
+        programFault("PC ran off the end of the program");
 
     if (cfg_.fastPath) {
         if (tryFastPath(now))

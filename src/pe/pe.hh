@@ -39,6 +39,8 @@
 #include "pe/decode.hh"
 #include "pe/scratchpad.hh"
 #include "sim/clocked.hh"
+#include "sim/error.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -245,7 +247,11 @@ class Pe
     bool issueVector(const Uop &u, Cycles now);
     bool issueMemory(const Uop &u, Cycles now);
     bool issueConfig(const Uop &u, Cycles now);
-    /** The ld.sram/st.sram scratchpad range; asserts it is in bounds. */
+    /** Latch set.vl / set.mr from its register; a length of 0 or
+     *  beyond the scratchpad is a program fault. */
+    void applyConfig(const Uop &u);
+    /** The ld.sram/st.sram scratchpad range; a range outside the
+     *  scratchpad is a program fault. */
     std::pair<SpAddr, unsigned> sramRange(const Uop &u,
                                           const char *what) const;
 
@@ -265,6 +271,16 @@ class Pe
 
     /** Functionally execute one fast block entered at cycle @p at. */
     void execFastBlock(const FastBlock &b, Cycles at);
+
+    /** The user's program, not the simulator, is at fault: throw a
+     *  ProgramError naming this PE and the instruction at the PC. */
+    template <typename... Args>
+    [[noreturn]] void
+    programFault(Args &&...args) const
+    {
+        throw ProgramError(cfg_.peId, pc_,
+                           detail::formatArgs(std::forward<Args>(args)...));
+    }
 
     /** Earliest vector-pipeline ARC retirement (kIdleForever if none). */
     Cycles earliestVecArcRetireAt() const;

@@ -181,10 +181,11 @@ VipServer::dispatchRun(const Json &spec_json)
     const std::uint64_t key = spec.fingerprint();
     // Host execution defaults, applied after fingerprinting: island
     // count and the µop fast path never change the result bytes,
-    // only how they are computed.
-    if (spec.config.islands == 1)
+    // only how they are computed. A key the request sets wins.
+    const Json *cfg = spec_json.find("config");
+    if (!cfg || !cfg->find("islands"))
         spec.config.islands = opts_.defaultIslands;
-    if (spec.config.fastPath)
+    if (!cfg || !cfg->find("fastPath"))
         spec.config.fastPath = opts_.defaultFastPath;
 
     auto token = std::make_shared<CancelToken>();

@@ -12,10 +12,10 @@
  * name the concrete types. Each island ticks its components in a
  * fixed order, computes the horizon `min(nextEventAt)` over them (a
  * vault with parked ingress requests adds its next completion, when a
- * queue slot frees) and, when it exceeds the next cycle, warps
+ * queue slot frees) and, when it lies beyond the current cycle, warps
  * simulated time directly to it — skipping cycles that would have
- * been no-op ticks for every component. Between rounds the scheduler
- * warps the whole machine the same way.
+ * been no-op ticks for every component. That per-island warp is the
+ * run loop's only one (sim/island.hh).
  *
  * The contract that keeps warping *exact* rather than approximate:
  *
@@ -37,9 +37,9 @@
  *    `fastForward(from, to)` to account for the skipped cycles
  *    [from, to) exactly as the per-cycle ticks would have.
  *
- * Wake gating: the global warp only skips cycles that are dead for
- * the whole machine (or a whole island). Between warps, the PE and the
- * vault controller also skip their own dead cycles inside `tick()`:
+ * Wake gating: the warp only skips cycles that are dead for a whole
+ * island. Between warps, the PE and the vault controller also skip
+ * their own dead cycles inside `tick()`:
  *
  *  - A gated tick must equal `fastForward(now, now + 1)`. A PE stalled
  *    with a known wake cycle > now only charges its stall counter; a

@@ -25,6 +25,7 @@
 #ifndef VIP_SIM_ERROR_HH
 #define VIP_SIM_ERROR_HH
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -80,6 +81,30 @@ class AssemblyFailure : public SimError
 
   private:
     unsigned line_;
+};
+
+/**
+ * The user's program did something the machine cannot execute: a
+ * scratchpad operand out of range, an illegal set.vl/set.mr, a vector
+ * instruction with VL or MR unset, or a PC past the last instruction.
+ * Carries the PE and the index of the faulting instruction, so a
+ * front end (or a vip-serve client) can point at it.
+ */
+class ProgramError : public SimError
+{
+  public:
+    ProgramError(unsigned pe, std::uint64_t pc, const std::string &message)
+        : SimError("program", "pe" + std::to_string(pe) + " pc " +
+                                  std::to_string(pc) + ": " + message),
+          pe_(pe), pc_(pc)
+    {}
+
+    unsigned pe() const { return pe_; }
+    std::uint64_t pc() const { return pc_; }
+
+  private:
+    unsigned pe_;
+    std::uint64_t pc_;
 };
 
 /**

@@ -24,7 +24,7 @@
  * event identity, a fast-forwarded or island-partitioned run injects
  * bit-identically to a serial ticked run, and two runs with the same
  * seed and plan strike the same sites (fault_injection_test and
- * island_equivalence_test pin this).
+ * equivalence_test pin this).
  *
  * ## Concurrency
  *

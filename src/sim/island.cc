@@ -67,7 +67,6 @@ IslandScheduler::run(Cycles start, Cycles deadline)
     round_ = Round{};
     round_.begin = start;
     round_.end = roundEnd(start);
-    round_.warpedFrom = start;
     for (Slot &s : slots_) {
         s = Slot{};
         s.idleSince = start;
@@ -102,26 +101,22 @@ IslandScheduler::islandMain(unsigned i)
             if (!abort_.load(std::memory_order_relaxed)) {
                 if (hooks_.catchUp)
                     hooks_.catchUp(i, round_.begin);
-                if (round_.begin > round_.warpedFrom &&
-                    hooks_.fastForward) {
-                    // The decision warped the machine over globally
-                    // dead cycles; replicate what per-cycle ticks
-                    // would have observed (stall counters).
-                    hooks_.fastForward(i, round_.warpedFrom,
-                                       round_.begin);
-                }
                 // One idle check per tick. It comes before the warp:
                 // an island that just went idle must stop at its idle
                 // cycle, not warp to the round end.
                 Cycles c = round_.begin;
                 while (c < round_.end && !hooks_.idle(i)) {
-                    if (opt_.fastForward && c > round_.begin) {
-                        // Intra-round warp over the island's own dead
+                    if (opt_.fastForward) {
+                        // The one warp site: skip the island's own dead
                         // cycles (its nextEventAt clamps to refresh
                         // deadlines, so none are jumped). At the round
-                        // start the decision has already warped.
-                        const Cycles to = std::min(
-                            hooks_.nextEventAt(i, c), round_.end);
+                        // start, phase B already computed it: an island
+                        // active here was active there, and nothing
+                        // has touched it since.
+                        const Cycles next = c == round_.begin
+                                                ? slot.next
+                                                : hooks_.nextEventAt(i, c);
+                        const Cycles to = std::min(next, round_.end);
                         if (to > c) {
                             if (hooks_.fastForward)
                                 hooks_.fastForward(i, c, to);
@@ -225,8 +220,7 @@ IslandScheduler::decideNextRound()
     // Cooperative stop, after the natural-completion checks so a run
     // that drains this very round reports its real result. Rounds end
     // at the poll mark, so the token is read once every
-    // kCancelPollCycles simulated cycles (later only when a warp
-    // jumped the mark), for any island count.
+    // kCancelPollCycles simulated cycles, for any island count.
     if (opt_.cancel && round_.end >= nextCancelPoll_) {
         nextCancelPoll_ = satAdd(round_.end, kCancelPollCycles);
         if (opt_.cancel->shouldStop()) {
@@ -237,9 +231,9 @@ IslandScheduler::decideNextRound()
         }
     }
 
-    // Deadlock watchdog. Rounds end at lastCheck_ + watchdogCycles
-    // and warps stop one cycle short of it, so it looks at exactly
-    // the same cycles for any island count and fast-forward setting.
+    // Deadlock watchdog. Rounds end at lastCheck_ + watchdogCycles,
+    // so it looks at exactly the same cycles for any island count and
+    // fast-forward setting.
     if (round_.end - lastCheck_ >= opt_.watchdogCycles) {
         std::uint64_t p = 0;
         for (const Slot &s : slots_)
@@ -254,29 +248,24 @@ IslandScheduler::decideNextRound()
         lastCheck_ = round_.end;
     }
 
-    Cycles begin = round_.end;
-    round_.warpedFrom = round_.end;
-    if (opt_.fastForward && global_next > round_.end) {
-        // Globally dead span: no island has an event before
-        // global_next and all mail is drained. Warp there, clamped so
-        // the deadline and the watchdog still get their looks; the
-        // warp stops one cycle short of the watchdog's look so the
-        // round that ends there is not empty.
-        Cycles target = std::min(global_next, deadline_);
-        target = std::min(target,
-                          satAdd(lastCheck_, opt_.watchdogCycles) - 1);
-        begin = target;
-    }
-    round_.begin = begin;
-    round_.end = roundEnd(begin);
+    // The next round starts where this one ended. No island has an
+    // event before global_next and all mail is drained, so no island
+    // can send anything before it either: the quantum counts from
+    // there, and each island warps over the dead head of the round in
+    // phase A. Without fast-forward the oracle never consults the
+    // horizon.
+    round_.begin = round_.end;
+    round_.end = roundEnd(opt_.fastForward
+                              ? std::max(round_.begin, global_next)
+                              : round_.begin);
 }
 
 Cycles
-IslandScheduler::roundEnd(Cycles begin) const
+IslandScheduler::roundEnd(Cycles quiet_from) const
 {
-    Cycles end = std::min(deadline_, satAdd(begin, opt_.quantum));
+    Cycles end = std::min(deadline_, satAdd(quiet_from, opt_.quantum));
     end = std::min(end, satAdd(lastCheck_, opt_.watchdogCycles));
-    if (opt_.cancel && nextCancelPoll_ > begin)
+    if (opt_.cancel)
         end = std::min(end, nextCancelPoll_);
     return end;
 }

@@ -17,17 +17,20 @@
  * at the next cancel poll, so each of those is checked at the same
  * cycle for any island count. Each round:
  *
- *   phase A  every island ticks its own components from the cursor to
- *            the round end, thread-confined and lock-free (it may
- *            fast-forward locally over its own dead cycles);
+ *   phase A  every island ticks its own components from the round
+ *            start to the round end, thread-confined and lock-free,
+ *            warping over its own dead cycles (the run loop's one warp
+ *            site);
  *   barrier
  *   phase B  every island drains the mailboxes its neighbors filled
  *            during phase A, then reports (idle? next event? progress);
  *   barrier  the last thread to arrive runs the round decision: stop
  *            (all idle / deadline / cancel / watchdog-deadlock), or
- *            pick the next round — warping globally over dead cycles
- *            when every island's next event lies beyond the round
- *            end.
+ *            start the next round where this one ended. When every
+ *            island's next event lies beyond that, no island can send
+ *            mail before the earliest of them, so the quantum counts
+ *            from there and each island warps over the dead head of
+ *            the round itself.
  *
  * The two barriers make each phase's writes visible to all threads
  * before anyone reads them, so the per-link mailboxes and the shared
@@ -120,11 +123,11 @@ struct IslandHooks
     std::function<void(unsigned i, Cycles from, Cycles to)> fastForward;
 
     /**
-     * Island @p i's cursor is moving to @p until without ticking the
-     * cycles in between (it was idle, or the machine warped): replay
-     * any timer-driven events with deadlines strictly before @p until
-     * at their exact deadlines (DRAM refresh). Also called once with
-     * the final cycle when the run stops.
+     * Island @p i's cursor is moving to @p until, a round start,
+     * possibly without having ticked the cycles in between (it was
+     * idle): replay any timer-driven events with deadlines strictly
+     * before @p until at their exact deadlines (DRAM refresh). Also
+     * called once with the final cycle when the run stops.
      */
     std::function<void(unsigned i, Cycles until)> catchUp;
 };
@@ -145,7 +148,7 @@ class IslandScheduler
          *  rounds end there). */
         Cycles watchdogCycles = 2'000'000;
 
-        /** Allow intra-round and cross-round time warps. */
+        /** Allow islands to warp over their own dead cycles. */
         bool fastForward = true;
 
         /**
@@ -201,7 +204,6 @@ class IslandScheduler
     {
         Cycles begin = 0;     ///< first cycle of the round
         Cycles end = 0;       ///< one past the last cycle
-        Cycles warpedFrom = 0; ///< begin > warpedFrom => global warp
         bool stop = false;
         bool deadlocked = false;
         bool cancelStopped = false;
@@ -211,10 +213,11 @@ class IslandScheduler
     void islandMain(unsigned i);
     void decideNextRound();
 
-    /** Where a round starting at @p begin ends: the first of the
-     *  quantum end, the deadline, the watchdog's next look and the
-     *  next cancel poll. */
-    Cycles roundEnd(Cycles begin) const;
+    /** Where the next round ends: the first of the quantum end
+     *  (counted from @p quiet_from, the earliest cycle at which any
+     *  island could act), the deadline, the watchdog's next look and
+     *  the next cancel poll. */
+    Cycles roundEnd(Cycles quiet_from) const;
 
     const unsigned islands_;
     const IslandHooks hooks_;

@@ -93,7 +93,7 @@ RunResult::toJson() const
     // aggregate differs from the serial value, and the fastpath
     // counters differ with the fast path on vs. off — and keeping
     // either here would break the bit-identical-RunResult contract
-    // island_equivalence_test and fastpath_equivalence_test pin.
+    // equivalence_test pins.
     j.set("memRequestPoolHighWater", memRequestPoolHighWater);
     Json allocs = Json::array();
     for (const std::uint64_t a : peRequestAllocations)

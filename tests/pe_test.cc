@@ -506,16 +506,35 @@ TEST_F(PeTest, StSramRoundTripsToDram)
 }
 
 
-/** Run @p prog on a fresh one-PE machine (a death-test statement). */
+/** Run @p prog on a fresh one-PE machine. */
 void
-runFresh(const std::vector<Instruction> &prog)
+runFresh(const std::vector<Instruction> &prog, bool fast_path = true)
 {
-    VipSystem sys(makeSystemConfig(1, 1));
+    SystemConfig cfg = makeSystemConfig(1, 1);
+    cfg.fastPath = fast_path;
+    VipSystem sys(cfg);
     sys.pe(0).loadProgram(prog);
     sys.run(1'000'000);
 }
 
-TEST(PeDeathTest, ScratchpadOperandsAreCheckedBeforeNarrowing)
+/** @p prog must stop with a ProgramError on PE 0 whose message
+ *  contains @p want. */
+void
+expectProgramFault(const std::vector<Instruction> &prog,
+                   const std::string &want, bool fast_path = true)
+{
+    try {
+        runFresh(prog, fast_path);
+        ADD_FAILURE() << "no program fault; wanted " << want;
+    } catch (const ProgramError &e) {
+        EXPECT_EQ(e.kind(), "program");
+        EXPECT_EQ(e.pe(), 0u);
+        EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PeProgramFault, ScratchpadOperandsAreCheckedBeforeNarrowing)
 {
     // Register values are 64-bit, scratchpad addresses 32-bit: a start
     // near 2^32 must not wrap its end back into range, and one above
@@ -533,11 +552,12 @@ TEST(PeDeathTest, ScratchpadOperandsAreCheckedBeforeNarrowing)
         b.halt();
         return b.finish();
     };
-    EXPECT_DEATH(runFresh(sram(true, 0xFFFFFFF0)), "outside the scratchpad");
-    EXPECT_DEATH(runFresh(sram(true, 0x100000010)),
-                 "outside the scratchpad");
-    EXPECT_DEATH(runFresh(sram(false, 0xFFFFFFF0)),
-                 "outside the scratchpad");
+    EXPECT_THROW(runFresh(sram(true, 0xFFFFFFF0)), ProgramError);
+    EXPECT_THROW(runFresh(sram(true, 0x100000010)), ProgramError);
+    EXPECT_THROW(runFresh(sram(false, 0xFFFFFFF0)), ProgramError);
+    expectProgramFault(sram(true, 0xFFFFFFF0),
+                       "pe0 pc 3: st.sram of 16 x 1 B at sp[4294967280] "
+                       "outside the scratchpad");
 
     AsmBuilder vv;
     vv.movImm(1, 16);
@@ -546,7 +566,42 @@ TEST(PeDeathTest, ScratchpadOperandsAreCheckedBeforeNarrowing)
     vv.movImm(21, 0);
     vv.vv(VecOp::Add, 22, 20, 21, ElemWidth::W8);
     vv.halt();
-    EXPECT_DEATH(runFresh(vv.finish()), "outside the scratchpad");
+    const std::vector<Instruction> vv_prog = vv.finish();
+    EXPECT_THROW(runFresh(vv_prog), ProgramError);
+    expectProgramFault(vv_prog, "pc 4: vector operand");
+}
+
+TEST(PeProgramFault, IllegalConfigAndRunawayPc)
+{
+    // The same faults with the fast path on and off: set.vl/set.mr are
+    // block-eligible, so the replay and the interpreter share the check.
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "fast path" : "interpreter");
+        for (const std::int64_t bad : {0ll, 1ll << 40}) {
+            AsmBuilder vl;
+            vl.movImm(1, bad);
+            vl.setVl(1);
+            vl.halt();
+            expectProgramFault(vl.finish(), "pc 1: set.vl", fast);
+            AsmBuilder mr;
+            mr.movImm(1, bad);
+            mr.setMr(1);
+            mr.halt();
+            expectProgramFault(mr.finish(), "pc 1: set.mr", fast);
+        }
+
+        AsmBuilder mv;
+        mv.movImm(1, 16);
+        mv.setVl(1);
+        mv.mv(VecOp::Mul, RedOp::Add, 2, 3, 4);
+        mv.halt();
+        expectProgramFault(mv.finish(), "pc 2: m.v with MR unset", fast);
+
+        AsmBuilder off;
+        off.movImm(1, 1);
+        expectProgramFault(off.finish(),
+                           "pc 1: PC ran off the end of the program", fast);
+    }
 }
 
 } // namespace

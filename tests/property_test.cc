@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "equivalence.hh"
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/conv_kernel.hh"
@@ -365,16 +366,28 @@ randomProgram(Rng &rng, Addr dram_base)
 
 TEST(Fuzz, RandomProgramsRunToCompletion)
 {
-    Rng rng(20260704);
-    for (unsigned trial = 0; trial < 60; ++trial) {
-        SystemConfig cfg = makeSystemConfig(1, 2);
-        VipSystem sys(cfg);
-        sys.pe(0).loadProgram(randomProgram(rng, sys.vaultBase(0)));
-        sys.pe(1).loadProgram(randomProgram(rng, sys.vaultBase(0)));
-        sys.run(2'000'000);
-        EXPECT_TRUE(sys.allIdle()) << "trial " << trial;
-        EXPECT_TRUE(sys.pe(0).halted());
-        EXPECT_TRUE(sys.pe(1).halted());
+    // Differential: each seeded set of random programs runs on a
+    // 4-vault machine (a 2x2 torus, so islands {1, 2}) at every knob
+    // combination and must match the oracle. PE v reads and writes the
+    // next vault over, so half the traffic crosses islands.
+    const SystemConfig cfg = makeSystemConfig(4, 1);
+    for (unsigned trial = 0; trial < 200; ++trial) {
+        const std::uint64_t seed = 20260704 + trial;
+        SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                     std::to_string(trial));
+        expectMatchesOracle(
+            cfg,
+            [seed](Simulation &sim) {
+                Rng rng(seed);
+                for (unsigned v = 0; v < 4; ++v) {
+                    sim.loadProgram(
+                        v, randomProgram(rng, sim.vaultBase((v + 1) % 4)));
+                }
+            },
+            2'000'000, [](Simulation &sim, const Observed &) {
+                for (unsigned pe = 0; pe < 4; ++pe)
+                    EXPECT_TRUE(sim.system().pe(pe).halted()) << "pe " << pe;
+            });
     }
 }
 

@@ -365,5 +365,73 @@ TEST(VipServer, ParallelPoolKeepsRequestOrder)
     }
 }
 
+TEST(VipServer, RequestedFastPathOverridesTheDaemonDefault)
+{
+    // The daemon default applies only when the request's config omits
+    // the key: "fastPath": true must run the fast path on a daemon
+    // started with it off. Caching is off so every request runs.
+    ServeOptions opts;
+    opts.defaultFastPath = false;
+    opts.cacheEntries = 0;
+
+    Json omitted = Json::object();
+    omitted.set("run", dotSpec().toJson());
+    Json run = dotSpec().toJson();
+    Json cfg = run.at("config");
+    cfg.set("fastPath", true);
+    run.set("config", std::move(cfg));
+    Json explicit_on = Json::object();
+    explicit_on.set("run", std::move(run));
+
+    const std::string stats = "{\"cmd\": \"stats\"}\n";
+    const std::vector<std::string> rsp = serveLines(
+        omitted.str() + "\n" + stats + explicit_on.str() + "\n" + stats,
+        opts);
+    ASSERT_EQ(rsp.size(), 4u);
+    // Same fingerprint: the host knob is not part of the key.
+    EXPECT_EQ(Json::parse(rsp[0]).at("key").asString(),
+              Json::parse(rsp[2]).at("key").asString());
+    EXPECT_EQ(Json::parse(rsp[0]).at("result").str(),
+              Json::parse(rsp[2]).at("result").str());
+    auto block_runs = [](const std::string &line) -> std::uint64_t {
+        const Json stats = Json::parse(line);
+        const Json *n = stats.at("serve").at("fastpath").find("block_runs");
+        return n ? n->asU64() : 0;
+    };
+    EXPECT_EQ(block_runs(rsp[1]), 0u);
+    EXPECT_GT(block_runs(rsp[3]), 0u);
+}
+
+TEST(VipServer, ProgramFaultIsStructuredAndTheLoopSurvives)
+{
+    // A program whose st.sram operand lies past the scratchpad is the
+    // user's fault: it answers with an error for that request, and the
+    // next request on the same connection still runs.
+    RunSpec bad = dotSpec();
+    bad.programs[0].source = R"(
+        mov.imm r1, 16
+        mov.imm r10, 0x1000
+        mov.imm r20, 0xFFFFFFF0
+        st.sram[16] r20, r10, r1
+        memfence
+        halt
+    )";
+    Json bad_req = Json::object();
+    bad_req.set("run", bad.toJson());
+    Json good_req = Json::object();
+    good_req.set("run", dotSpec().toJson());
+
+    const std::vector<std::string> rsp =
+        serveLines(bad_req.str() + "\n" + good_req.str() + "\n");
+    ASSERT_EQ(rsp.size(), 2u);
+    const Json first = Json::parse(rsp[0]);
+    const Json &err = first.at("error");
+    EXPECT_EQ(err.at("kind").asString(), "program");
+    EXPECT_NE(err.at("message").asString().find("pe0 pc 3: st.sram"),
+              std::string::npos)
+        << rsp[0];
+    EXPECT_TRUE(Json::parse(rsp[1]).at("result").at("haltedCleanly").asBool());
+}
+
 } // namespace
 } // namespace vip
