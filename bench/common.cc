@@ -23,26 +23,9 @@ namespace vip {
 
 namespace {
 
-/** Set by --no-fast-forward; read by every run* helper below. */
-bool g_fast_forward = true;
-
-/** Set by --no-fast-path; read by every run* helper below. */
-bool g_fast_path = true;
-
-/** Set by --islands; clamped per machine shape via islandsFor(). */
-unsigned g_islands = 1;
-
-/**
- * Island count a bench machine actually runs with: the largest count
- * dividing both the request and the NoC X dimension. Single-vault
- * helpers (nocX == 1) stay serial no matter what --islands asks for;
- * the 32-vault machine (nocX == 8) shards for --islands 2/4/8.
- */
-unsigned
-islandsFor(unsigned noc_x)
-{
-    return std::gcd(g_islands, noc_x);
-}
+/** The host knobs parseBenchOptions read (--no-fast-forward,
+ *  --no-fast-path, --islands); benchConfig() applies them. */
+cli::CommonOptions g_host;
 
 } // namespace
 
@@ -69,15 +52,10 @@ parseBenchOptions(int argc, char **argv, double default_frac)
         }
     }
     opts.jobs = common.jobs;
-    opts.fastForward = common.fastForward;
-    opts.fastPath = common.fastPath;
-    opts.islands = common.islands;
-    g_fast_forward = common.fastForward;
-    g_fast_path = common.fastPath;
-    g_islands = common.islands;
+    g_host = common;
     bool oversubscribed = false;
     const unsigned budget =
-        hostThreadBudget(opts.jobs, opts.islands, &oversubscribed);
+        hostThreadBudget(opts.jobs, common.islands, &oversubscribed);
     if (oversubscribed) {
         std::fprintf(stderr,
                      "%s: warning: --jobs x --islands wants %u host "
@@ -136,6 +114,24 @@ applyKnobs(MemConfig &cfg, const MemKnobs &knobs)
 
 namespace {
 
+/**
+ * A @p vaults-vault, 4-PE-per-vault machine under the parsed host
+ * knobs, with the Fig. 5 @p knobs applied. It runs with the largest
+ * island count dividing both --islands and the NoC X dimension:
+ * single-vault machines (nocX == 1) stay serial, the 32-vault machine
+ * (nocX == 8) shards for --islands 2/4/8.
+ */
+SystemConfig
+benchConfig(unsigned vaults, const MemKnobs &knobs = {})
+{
+    SystemConfig cfg = makeSystemConfig(vaults, 4);
+    cfg.fastForward = g_host.fastForward;
+    cfg.fastPath = g_host.fastPath;
+    cfg.islands = std::gcd(g_host.islands, cfg.nocX);
+    applyKnobs(cfg.mem, knobs);
+    return cfg;
+}
+
 SliceResult
 collect(const VipSystem &sys, Cycles cycles, std::uint64_t work)
 {
@@ -153,11 +149,7 @@ SliceResult
 runBpTilePhase(unsigned tile_w, unsigned tile_h, unsigned labels,
                unsigned iterations, const MemKnobs &knobs)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
-    applyKnobs(cfg.mem, knobs);
+    const SystemConfig cfg = benchConfig(1, knobs);
     Simulation sim(cfg);
 
     MrfDramLayout layout(sim.vaultBase(), tile_w, tile_h, labels);
@@ -203,10 +195,7 @@ SliceResult
 runBpSweepVariant(unsigned tile_w, unsigned tile_h, unsigned labels,
                   bool reduction, bool register_file)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
+    const SystemConfig cfg = benchConfig(1);
     Simulation sim(cfg);
     MrfDramLayout layout(sim.vaultBase(), tile_w, tile_h, labels);
 
@@ -234,11 +223,7 @@ runConvShare(const LayerDesc &layer, unsigned vaults_active,
              double row_fraction, const MemKnobs &knobs)
 {
     vip_assert(layer.kind == LayerDesc::Kind::Conv, "not a conv layer");
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
-    applyKnobs(cfg.mem, knobs);
+    const SystemConfig cfg = benchConfig(1, knobs);
 
     const unsigned in_c = layer.inChannels;
     const unsigned out_c = layer.outChannels;
@@ -336,11 +321,7 @@ runPoolShare(const LayerDesc &layer, unsigned vaults_active,
              double row_fraction, const MemKnobs &knobs)
 {
     vip_assert(layer.kind == LayerDesc::Kind::Pool, "not a pool layer");
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
-    applyKnobs(cfg.mem, knobs);
+    const SystemConfig cfg = benchConfig(1, knobs);
     Simulation sim(cfg);
 
     const unsigned C = layer.inChannels;
@@ -379,11 +360,7 @@ SliceResult
 runFcLayer(unsigned inputs, unsigned outputs, double row_fraction,
            const MemKnobs &knobs)
 {
-    SystemConfig cfg = makeSystemConfig(32, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
-    applyKnobs(cfg.mem, knobs);
+    const SystemConfig cfg = benchConfig(32, knobs);
     Simulation sim(cfg);
     VipSystem &sys = sim.system();
 
@@ -471,10 +448,7 @@ SliceResult
 runConstructPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
                   unsigned coarse_rows)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
+    const SystemConfig cfg = benchConfig(1);
     Simulation sim(cfg);
     MrfDramLayout fine(sim.vaultBase(), fine_w, fine_h, labels);
     MrfDramLayout coarse(fine.end() + 64, fine_w / 2, fine_h / 2,
@@ -498,10 +472,7 @@ SliceResult
 runCopyPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
              unsigned fine_rows)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
+    const SystemConfig cfg = benchConfig(1);
     Simulation sim(cfg);
     MrfDramLayout fine(sim.vaultBase(), fine_w, fine_h, labels);
     MrfDramLayout coarse(fine.end() + 64, fine_w / 2, fine_h / 2,
@@ -524,11 +495,7 @@ runCopyPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
 SliceResult
 runStreamCopy(std::uint64_t bytes_per_pe, const MemKnobs &knobs)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
-    applyKnobs(cfg.mem, knobs);
+    const SystemConfig cfg = benchConfig(1, knobs);
     Simulation sim(cfg);
 
     const std::uint64_t chunk = 1024;  // bytes per ld/st pair

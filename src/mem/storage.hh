@@ -10,7 +10,8 @@
  * ## Concurrency
  *
  * One store backs the whole machine, and in island mode (see
- * sim/island.hh) several island threads touch it in the same quantum.
+ * system/run_loop.cc) several island threads touch it in the same
+ * quantum.
  * The page *table* is therefore a fixed two-level radix tree of atomic
  * pointers — lookup is two lock-free acquire-loads, first-touch
  * allocation is a CAS race whose loser frees its page and takes the

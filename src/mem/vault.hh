@@ -96,13 +96,13 @@ class VaultController
     /**
      * Replay every refresh whose deadline lies strictly before
      * @p until, each at its exact deadline cycle. Island-mode support
-     * (see sim/island.hh): a workload-idle vault on a skipped island
-     * is never ticked, but its refresh timer — and the deterministic
-     * retention-error draw each refresh makes — must fire exactly as
-     * per-cycle ticks (or clamped warps) would fire them. A vault
-     * that has been ticked through cycle until - 1 owes nothing and
-     * this is a no-op, so the scheduler may call it unconditionally
-     * at every round boundary.
+     * (see system/run_loop.cc): a workload-idle vault on a skipped
+     * island is never ticked, but its refresh timer — and the
+     * deterministic retention-error draw each refresh makes — must
+     * fire exactly as per-cycle ticks (or clamped warps) would fire
+     * them. A vault that has been ticked through cycle until - 1 owes
+     * nothing and this is a no-op, so the run loop may call it
+     * unconditionally at every round boundary.
      */
     void catchUpRefreshes(Cycles until);
 

@@ -15,7 +15,8 @@
  * ## Island partitioning
  *
  * The network can be split into islands (setPartition) so one run can
- * shard across host threads (see sim/island.hh and system/partition.hh).
+ * shard across host threads (see system/run_loop.cc and
+ * system/partition.hh).
  * Each island owns the packets, events, and link state of its nodes and
  * is ticked by exactly one thread; a packet hopping onto a node of
  * another island is handed over through a per-island-pair SPSC mailbox

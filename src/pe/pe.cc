@@ -231,11 +231,18 @@ Pe::issueConfig(const Uop &u, Cycles now)
     return true;
 }
 
+bool
+Pe::configFaults(const Uop &u) const
+{
+    const std::uint64_t v = regs_[u.rs1];
+    return v == 0 || v > Scratchpad::kBytes;
+}
+
 void
 Pe::applyConfig(const Uop &u)
 {
     const std::uint64_t v = regs_[u.rs1];
-    if (v == 0 || v > Scratchpad::kBytes) {
+    if (configFaults(u)) {
         programFault(u.op == Opcode::SetVl ? "set.vl with illegal length "
                                            : "set.mr with illegal row count ",
                      v);
@@ -686,12 +693,17 @@ Pe::issueUop(const Uop &u, Cycles now)
     return true;
 }
 
-void
+unsigned
 Pe::execFastBlock(const FastBlock &b, Cycles at)
 {
     const Uop *uops = decoded_.uops.data();
-    for (unsigned i = 0; i < b.len; ++i) {
+    unsigned i = 0;
+    for (; i < b.len; ++i) {
         const Uop &u = uops[pc_];
+        // A µop that would fault is left to the per-µop path, which
+        // raises the fault at the µop's own cycle.
+        if (u.cls == UopClass::Config && configFaults(u))
+            break;
         switch (u.cls) {
           case UopClass::Scalar:
             regs_[u.rd] =
@@ -727,11 +739,14 @@ Pe::execFastBlock(const FastBlock &b, Cycles at)
             }
         }
     }
+    if (i == 0)
+        return 0;
     if (!injector_)
-        stats_.instructions += b.len;
-    stats_.busyCycles += b.len;
+        stats_.instructions += i;
+    stats_.busyCycles += i;
     ++fpStats_.blockRuns;
-    fpStats_.fastUops += b.len;
+    fpStats_.fastUops += i;
+    return i;
 }
 
 bool
@@ -782,8 +797,10 @@ Pe::tryFastPath(Cycles now)
             cause = &fpStats_.fallbackRegs;
             break;
         }
-        execFastBlock(b, entry);
-        charged += b.len;
+        const unsigned ran = execFastBlock(b, entry);
+        charged += ran;
+        if (ran < b.len)
+            break;  // the next µop faults at cycle now + charged
     }
 
     if (charged == 0) {

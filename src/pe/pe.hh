@@ -250,6 +250,8 @@ class Pe
     /** Latch set.vl / set.mr from its register; a length of 0 or
      *  beyond the scratchpad is a program fault. */
     void applyConfig(const Uop &u);
+    /** applyConfig(@p u) would raise a program fault. */
+    bool configFaults(const Uop &u) const;
     /** The ld.sram/st.sram scratchpad range; a range outside the
      *  scratchpad is a program fault. */
     std::pair<SpAddr, unsigned> sramRange(const Uop &u,
@@ -265,12 +267,14 @@ class Pe
     /**
      * Execute as many whole fast blocks as fit before the chunk cap /
      * run deadline, charging their timing in bulk; true when at least
-     * one block ran (the PE is then busy until fpBusyUntil_).
+     * one µop ran (the PE is then busy until fpBusyUntil_). The chain
+     * stops before a µop that would fault.
      */
     bool tryFastPath(Cycles now);
 
-    /** Functionally execute one fast block entered at cycle @p at. */
-    void execFastBlock(const FastBlock &b, Cycles at);
+    /** Functionally execute one fast block entered at cycle @p at, up
+     *  to the first µop that would fault; returns the µops executed. */
+    unsigned execFastBlock(const FastBlock &b, Cycles at);
 
     /** The user's program, not the simulator, is at fault: throw a
      *  ProgramError naming this PE and the instruction at the PC. */

@@ -5,9 +5,10 @@
  * A CancelToken is the one-way stop signal for a simulation in
  * flight: the owner (a serve connection handling {"cmd":"cancel"}, a
  * SIGINT handler in vip-run, a test) flips it from any thread, and
- * the run loop polls it between rounds — IslandScheduler ends a round
- * every kCancelPollCycles simulated cycles, for any island count, and
- * polls there — and VipSystem::run() surfaces the stop as a
+ * the run loop polls it between rounds — VipSystem's run loop
+ * (system/run_loop.cc) ends a round every kCancelPollCycles simulated
+ * cycles, for any island count, and polls there — and
+ * VipSystem::run() surfaces the stop as a
  * structured CancelledError or TimeoutError (sim/error.hh) on the
  * calling thread.
  *

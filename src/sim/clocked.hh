@@ -7,15 +7,15 @@
  * provides `tick(now)` plus `nextEventAt(now)`: the earliest future
  * cycle at which the component, left alone, could change
  * architectural or statistical state. This is a contract, not a base
- * class: the one run loop (the island scheduler, sim/island.hh)
- * reaches the components through VipSystem's per-island hooks, which
- * name the concrete types. Each island ticks its components in a
+ * class: the one run loop (VipSystem's island round protocol,
+ * system/run_loop.cc) calls the concrete types directly. Each island
+ * ticks its components in a
  * fixed order, computes the horizon `min(nextEventAt)` over them (a
  * vault with parked ingress requests adds its next completion, when a
  * queue slot frees) and, when it lies beyond the current cycle, warps
  * simulated time directly to it — skipping cycles that would have
  * been no-op ticks for every component. That per-island warp is the
- * run loop's only one (sim/island.hh).
+ * run loop's only one (system/run_loop.cc).
  *
  * The contract that keeps warping *exact* rather than approximate:
  *

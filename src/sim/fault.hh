@@ -18,7 +18,7 @@
  * the current cycle: event-horizon fast-forward (sim/clocked.hh) warps
  * over dead cycles, so cycle-keyed sampling would inject differently
  * with and without the warp. Nor are they keyed by any *global*
- * running count: island partitioning (sim/island.hh) interleaves
+ * running count: island partitioning (system/run_loop.cc) interleaves
  * reads from different host threads, so a machine-wide counter would
  * inject differently per interleaving and per island count. Keyed by
  * event identity, a fast-forwarded or island-partitioned run injects

@@ -1,44 +1,8 @@
 #include "sim/stats.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-
 #include "sim/logging.hh"
 
 namespace vip {
-
-namespace {
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default: os << c;
-        }
-    }
-    os << '"';
-}
-
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";  // JSON has no NaN/Inf
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
-
-} // namespace
 
 Counter::Counter(StatGroup *parent, std::string name, std::string desc)
     : name_(std::move(name)), desc_(std::move(desc))
@@ -68,94 +32,6 @@ StatGroup::addFormula(std::string name, std::string desc,
 }
 
 void
-StatGroup::resetStats()
-{
-    for (auto *c : counters_)
-        c->reset();
-    for (auto *g : children_)
-        g->resetStats();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    dumpImpl(os, "");
-}
-
-void
-StatGroup::dumpImpl(std::ostream &os, const std::string &prefix) const
-{
-    const std::string base = prefix.empty() ? name_ : prefix + "." + name_;
-    for (const auto *c : counters_) {
-        os << base << "." << c->name() << " " << c->value() << " # "
-           << c->desc() << "\n";
-    }
-    for (const auto &f : formulas_) {
-        os << base << "." << f.name << " " << f.fn() << " # " << f.desc
-           << "\n";
-    }
-    for (const auto *g : children_)
-        g->dumpImpl(os, base);
-}
-
-void
-StatGroup::dumpJson(std::ostream &os) const
-{
-    os << "{\n  ";
-    jsonEscape(os, name_);
-    os << ": ";
-    dumpJsonImpl(os, 1);
-    os << "\n}\n";
-}
-
-void
-StatGroup::dumpJsonImpl(std::ostream &os, unsigned depth) const
-{
-    // Gather every member under one sorted key list so the emitted
-    // ordering is independent of registration order.
-    struct Entry
-    {
-        const std::string *key;
-        const Counter *counter = nullptr;
-        const Formula *formula = nullptr;
-        const StatGroup *group = nullptr;
-    };
-    std::vector<Entry> entries;
-    entries.reserve(counters_.size() + formulas_.size() +
-                    children_.size());
-    for (const auto *c : counters_)
-        entries.push_back({&c->name(), c, nullptr, nullptr});
-    for (const auto &f : formulas_)
-        entries.push_back({&f.name, nullptr, &f, nullptr});
-    for (const auto *g : children_)
-        entries.push_back({&g->name(), nullptr, nullptr, g});
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const Entry &a, const Entry &b) {
-                         return *a.key < *b.key;
-                     });
-
-    const std::string pad((depth + 1) * 2, ' ');
-    os << "{";
-    bool first = true;
-    for (const auto &e : entries) {
-        os << (first ? "\n" : ",\n") << pad;
-        first = false;
-        jsonEscape(os, *e.key);
-        os << ": ";
-        if (e.counter) {
-            os << e.counter->value();
-        } else if (e.formula) {
-            jsonNumber(os, e.formula->fn());
-        } else {
-            e.group->dumpJsonImpl(os, depth + 1);
-        }
-    }
-    if (!first)
-        os << "\n" << std::string(depth * 2, ' ');
-    os << "}";
-}
-
-void
 StatGroup::visit(const Visitor &v) const
 {
     visitImpl(v, "");
@@ -175,52 +51,6 @@ StatGroup::visitImpl(const Visitor &v, const std::string &prefix) const
     }
     for (const auto *g : children_)
         g->visitImpl(v, base);
-}
-
-const Counter *
-StatGroup::findCounterByPath(const std::string &dotted) const
-{
-    const StatGroup *group = this;
-    std::size_t start = 0;
-    for (;;) {
-        const std::size_t dot = dotted.find('.', start);
-        const std::string seg = dotted.substr(
-            start, dot == std::string::npos ? std::string::npos
-                                            : dot - start);
-        if (dot == std::string::npos)
-            return group->findCounter(seg);
-        const StatGroup *next = nullptr;
-        for (const auto *g : group->children_) {
-            if (g->name() == seg) {
-                next = g;
-                break;
-            }
-        }
-        if (!next)
-            return nullptr;
-        group = next;
-        start = dot + 1;
-    }
-}
-
-const Counter *
-StatGroup::findCounter(const std::string &name) const
-{
-    for (const auto *c : counters_) {
-        if (c->name() == name)
-            return c;
-    }
-    return nullptr;
-}
-
-double
-StatGroup::evalFormula(const std::string &name) const
-{
-    for (const auto &f : formulas_) {
-        if (f.name == name)
-            return f.fn();
-    }
-    vip_panic("no formula named '", name, "' in group '", name_, "'");
 }
 
 } // namespace vip

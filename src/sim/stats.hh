@@ -3,9 +3,8 @@
  * A small statistics framework in the spirit of gem5's stats package.
  *
  * Components own a StatGroup; scalar statistics register themselves with
- * the group under a dotted name. Groups can be nested, dumped as text,
- * and reset between simulation phases (e.g. between warm-up and the
- * measured region of a benchmark).
+ * the group under a dotted name. Groups nest, and visit() reports the
+ * whole tree under dotted paths.
  */
 
 #ifndef VIP_SIM_STATS_HH
@@ -13,8 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -22,7 +19,7 @@ namespace vip {
 
 class StatGroup;
 
-/** A monotonically increasing (resettable) 64-bit counter statistic. */
+/** A monotonically increasing 64-bit counter statistic. */
 class Counter
 {
   public:
@@ -33,7 +30,6 @@ class Counter
     Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
 
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
@@ -46,7 +42,8 @@ class Counter
 
 /**
  * A named collection of statistics belonging to one simulated component.
- * Child groups inherit the parent's name as a dotted prefix when dumped.
+ * Child groups inherit the parent's name as a dotted prefix when
+ * visited.
  */
 class StatGroup
 {
@@ -60,47 +57,19 @@ class StatGroup
     void addCounter(Counter *c);
 
     /**
-     * Register a derived statistic computed on demand at dump time
+     * Register a derived statistic computed on demand at visit time
      * (e.g. a bandwidth formula over counters).
      */
     void addFormula(std::string name, std::string desc,
                     std::function<double()> fn);
 
-    /** Reset every counter in this group and all child groups. */
-    void resetStats();
-
-    /** Write "name value # desc" lines for the whole subtree. */
-    void dump(std::ostream &os) const;
-
     /**
-     * Write the subtree as one JSON object, `{"<name>": {...}}`, with
-     * counters as integers, formulas as doubles (non-finite values as
-     * null), and child groups as nested objects. Keys are emitted in
-     * sorted order regardless of registration order, so two dumps of
-     * equal stats are byte-identical and machine-diffable.
-     */
-    void dumpJson(std::ostream &os) const;
-
-    /**
-     * Write just this subtree's JSON object value (`{...}`, no
-     * enclosing `{"<name>": ...}` wrapper), indented as if it sat at
-     * @p depth nesting levels. Lets callers splice the tree into a
-     * larger JSON document (e.g. vip-run's `{"host": ..., "system":
-     * ...}` output) while keeping the byte-stable sorted-key format.
-     */
-    void
-    dumpJsonValue(std::ostream &os, unsigned depth = 0) const
-    {
-        dumpJsonImpl(os, depth);
-    }
-
-    /**
-     * Walk the whole subtree in dump order, reporting every counter
-     * and formula under its dotted path rooted at this group's name
-     * (e.g. "system.pe0.issued"). This is the programmatic face of
-     * the statistics tree: RunResult's typed counter map, the serve
-     * protocol's stats section, and tests that used to grep the text
-     * dump all read through it. Either callback may be empty.
+     * Walk the whole subtree in registration order, reporting every
+     * counter and formula under its dotted path rooted at this
+     * group's name (e.g. "system.pe0.issued"). This is the one reader
+     * of the statistics tree: RunResult's typed counter and formula
+     * maps and the serve protocol's stats section are built from it.
+     * Either callback may be empty.
      */
     struct Visitor
     {
@@ -112,20 +81,6 @@ class StatGroup
     };
     void visit(const Visitor &v) const;
 
-    /**
-     * Typed lookup by dotted path relative to this group (the leading
-     * group name is *not* part of the path: on the system root,
-     * "pe0.issued", not "system.pe0.issued"). Null when any segment
-     * is missing.
-     */
-    const Counter *findCounterByPath(const std::string &dotted) const;
-
-    /** Find a counter by name within this group only; null if absent. */
-    const Counter *findCounter(const std::string &name) const;
-
-    /** Evaluate a formula by name within this group only. */
-    double evalFormula(const std::string &name) const;
-
     const std::string &name() const { return name_; }
 
   private:
@@ -136,8 +91,6 @@ class StatGroup
         std::function<double()> fn;
     };
 
-    void dumpImpl(std::ostream &os, const std::string &prefix) const;
-    void dumpJsonImpl(std::ostream &os, unsigned depth) const;
     void visitImpl(const Visitor &v, const std::string &prefix) const;
 
     std::string name_;

@@ -2,7 +2,7 @@
  * @file
  * The partition layer of island-partitioned execution: how the machine
  * (PEs + torus routers + vaults) is cut into islands that can tick on
- * separate host threads (see sim/island.hh for the scheduler and
+ * separate host threads (see system/run_loop.cc for the run loop and
  * docs/INTERNALS.md "Island partitioning & conservative quanta").
  *
  * Islands are contiguous bands of NoC X columns: island i owns columns

@@ -2,9 +2,7 @@
 
 #include <sstream>
 
-#include "sim/cancel.hh"
 #include "sim/error.hh"
-#include "sim/island.hh"
 #include "sim/logging.hh"
 
 namespace vip {
@@ -266,189 +264,6 @@ VipSystem::allIdle() const
             return false;
     }
     return hmc_.idle() && noc_.idle();
-}
-
-Cycles
-VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
-{
-    vip_assert(!running_.exchange(true, std::memory_order_acquire),
-               "VipSystem::run() entered concurrently; a system must "
-               "be confined to one caller at a time (one system per "
-               "sweep job)");
-    const Cycles deadline = max_cycles == 0 ? ~Cycles{0}
-                                            : now_ + max_cycles;
-    // The fast path must not charge a block past the budget: a run cut
-    // mid-loop has to leave the same architectural state as a
-    // cycle-by-cycle run would (the partial block re-executes per-µop).
-    for (auto &pe : pes_)
-        pe->setRunDeadline(deadline);
-
-    const unsigned n = cfg_.islands;
-    for (unsigned i = 0; i < n; ++i) {
-        islandNow_[i].v = now_;
-        ffIsland_[i].reset();
-    }
-
-    IslandHooks hooks;
-    hooks.tick = [this](unsigned i, Cycles now) { tickIsland(i, now); };
-    hooks.idle = [this](unsigned i) { return islandIdle(i); };
-    hooks.nextEventAt = [this](unsigned i, Cycles now) {
-        return islandNextEventAt(i, now);
-    };
-    hooks.drainInboxes = [this](unsigned i) {
-        return noc_.drainInboxes(i);
-    };
-    hooks.progress = [this](unsigned i) { return islandProgress(i); };
-    hooks.fastForward = [this](unsigned i, Cycles from, Cycles to) {
-        fastForwardIsland(i, from, to);
-    };
-    hooks.catchUp = [this](unsigned i, Cycles until) {
-        catchUpIsland(i, until);
-    };
-
-    IslandScheduler::Options opt;
-    // The conservative quantum: a cross-island packet sent at cycle t
-    // is next visible at t + kHopLatency + serialization (>= 1 cycle
-    // for the 8-byte header), so within kHopLatency + 1 cycles no
-    // island can affect another and quantum-boundary mail exchange
-    // loses nothing. One island has no cross-island packets.
-    opt.quantum = n > 1 ? TorusNoc::kHopLatency + 1 : kIdleForever;
-    opt.watchdogCycles = cfg_.watchdogCycles;
-    opt.fastForward = cfg_.fastForward;
-    opt.cancel = cancel;
-
-    IslandScheduler sched(n, std::move(hooks), opt);
-    IslandScheduler::Outcome out;
-    try {
-        out = sched.run(now_, deadline);
-    } catch (...) {
-        noc_.flushIslandStats();
-        running_.store(false, std::memory_order_release);
-        throw;
-    }
-
-    now_ = out.finalCycle;
-    // Merge layer: fold per-island state into the shared aggregates in
-    // fixed island order, after the threads have joined.
-    for (unsigned i = 0; i < n; ++i) {
-        ff_.skippedCycles += ffIsland_[i].skippedCycles;
-        ff_.warps += ffIsland_[i].warps;
-    }
-    noc_.flushIslandStats();
-
-    if (out.deadlocked) {
-        // Diagnose rather than die: a sweep harness marks this one
-        // point failed (carrying the report) and the rest of the
-        // campaign completes.
-        const std::string diagnosis = deadlockDiagnosis();
-        running_.store(false, std::memory_order_release);
-        throw DeadlockError("system deadlocked at cycle " +
-                                std::to_string(now_),
-                            diagnosis);
-    }
-    if (out.cancelStopped) {
-        running_.store(false, std::memory_order_release);
-        vip_assert(cancel, "scheduler stopped on a token it was "
-                           "never given");
-        cancel->check();
-        // check() is throw-by-trigger; both triggers are sticky
-        // (cancelled is a flag, the clock only moves forward), so
-        // this line is unreachable — but keep control flow total.
-        throw CancelledError("run cancelled");
-    }
-    running_.store(false, std::memory_order_release);
-    return now_;
-}
-
-void
-VipSystem::tickIsland(unsigned island, Cycles now)
-{
-    // The machine's tick order, restricted to one island's nodes:
-    // network deliveries first (they may complete PE transactions and
-    // park requests at full vaults), then the vault controllers, then
-    // the ingress drains (a completion this cycle frees a slot this
-    // cycle), then the PE front ends.
-    islandNow_[island].v = now;
-    noc_.tickIsland(island, now);
-    const std::vector<unsigned> &nodes = partition_.nodesOf[island];
-    for (const unsigned v : nodes)
-        hmc_.vault(v).tick(now);
-    for (const unsigned v : nodes)
-        drainIngress(v);
-    for (const unsigned v : nodes) {
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            pes_[base + k]->tick(now);
-    }
-}
-
-bool
-VipSystem::islandIdle(unsigned island) const
-{
-    for (const unsigned v : partition_.nodesOf[island]) {
-        if (!ingress_[v].empty() || !hmc_.vault(v).idle())
-            return false;
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            if (!pes_[base + k]->idle())
-                return false;
-    }
-    return noc_.islandIdle(island);
-}
-
-Cycles
-VipSystem::islandNextEventAt(unsigned island, Cycles now) const
-{
-    Cycles next = noc_.islandNextEventAt(island, now);
-    for (const unsigned v : partition_.nodesOf[island]) {
-        if (next <= now)
-            return now;
-        // Vault nextEventAt includes its refresh deadline, which is
-        // what clamps island-local warps so refreshes fire on time.
-        next = std::min(next, hmc_.vault(v).nextEventAt(now));
-        // A parked request drains when its vault frees a slot, and
-        // slots free only when a transaction completes.
-        if (!ingress_[v].empty())
-            next = std::min(next, hmc_.vault(v).nextCompletionAt());
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            next = std::min(next, pes_[base + k]->nextEventAt(now));
-    }
-    return std::max(next, now);
-}
-
-std::uint64_t
-VipSystem::islandProgress(unsigned island) const
-{
-    std::uint64_t p = noc_.islandDelivered(island);
-    for (const unsigned v : partition_.nodesOf[island]) {
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            p += pes_[base + k]->stats().instructions.value();
-    }
-    return p;
-}
-
-void
-VipSystem::fastForwardIsland(unsigned island, Cycles from, Cycles to)
-{
-    for (const unsigned v : partition_.nodesOf[island]) {
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            pes_[base + k]->fastForward(from, to);
-    }
-    ffIsland_[island].skippedCycles += to - from;
-    ffIsland_[island].warps += 1;
-    islandNow_[island].v = to;
-}
-
-void
-VipSystem::catchUpIsland(unsigned island, Cycles until)
-{
-    if (islandNow_[island].v < until)
-        islandNow_[island].v = until;
-    for (const unsigned v : partition_.nodesOf[island])
-        hmc_.vault(v).catchUpRefreshes(until);
 }
 
 std::string

@@ -10,14 +10,15 @@
  * serviced by the DRAM model, and a response travels back before the
  * PE observes completion.
  *
- * Every run goes through the island scheduler (sim/island.hh). With
- * cfg.islands > 1 it shards across host threads: the machine is cut
- * into islands of NoC columns (system/partition.hh), each island's
- * components tick on their own thread in conservative quanta, and
- * per-island state merges in fixed island order after the join —
- * producing bit-identical results to islands == 1, which is the same
- * scheduler with one island on the calling thread (see
- * docs/INTERNALS.md "Island partitioning & conservative quanta").
+ * Every run goes through the machine's island run loop
+ * (system/run_loop.cc). With cfg.islands > 1 it shards across host
+ * threads: the machine is cut into islands of NoC columns
+ * (system/partition.hh), each island's components tick on their own
+ * thread in conservative quanta, and per-island state merges in fixed
+ * island order after the join — producing bit-identical results to
+ * islands == 1, which is the same loop with one island on the calling
+ * thread (see docs/INTERNALS.md "Island partitioning & conservative
+ * quanta").
  */
 
 #ifndef VIP_SYSTEM_SYSTEM_HH
@@ -153,9 +154,9 @@ class VipSystem
      * the memory system has drained, or @p max_cycles elapse.
      * @return total cycles simulated so far.
      *
-     * There is one run loop, the island scheduler, for any island
-     * count. With cfg.islands == 1 it runs one island on the calling
-     * host thread: nothing in the machine is synchronized, so
+     * There is one run loop, the island round protocol, for any
+     * island count. With cfg.islands == 1 it runs one island on the
+     * calling host thread: nothing in the machine is synchronized, so
      * concurrent run() calls on the same instance are a caller bug
      * (parallel sweeps must build one system per job — see
      * sim/sweep.hh). run() asserts this. With islands > 1 the run
@@ -169,8 +170,10 @@ class VipSystem
      * fast-forward setting. @p cancel, when given, is polled
      * cooperatively every kCancelPollCycles simulated cycles: a
      * tripped token stops the run at that boundary and throws
-     * CancelledError / TimeoutError (sim/cancel.hh). The machine is
-     * left mid-flight but destructible; the run's partial results are
+     * CancelledError / TimeoutError (sim/cancel.hh). A program fault
+     * throws the ProgramError the serial machine hits first, for any
+     * island count and fast-path setting. The machine is left
+     * mid-flight but destructible; the run's partial results are
      * discarded.
      */
     Cycles run(Cycles max_cycles = 0,
@@ -220,7 +223,10 @@ class VipSystem
     /** Drain vault @p v's parked ingress queue into freed slots. */
     void drainIngress(unsigned v);
 
-    // ---- the run loop's island hooks (sim/island.hh) ----------------
+    // ---- the run loop (system/run_loop.cc) ---------------------------
+    class RunLoop;
+
+    /** The per-island view of the machine the run loop drives. */
     void tickIsland(unsigned island, Cycles now);
     bool islandIdle(unsigned island) const;
     Cycles islandNextEventAt(unsigned island, Cycles now) const;

@@ -6,7 +6,8 @@
  * fast-forward on one island) in every deterministic observable: the
  * final cycle count, the full RunResult JSON (the complete stats tree
  * and, under a fault plan, the fault counters) and the DRAM
- * fingerprint. Shared by equivalence_test (the workload table) and
+ * fingerprint — or, for a run that raises a SimError, the error's kind
+ * and message. Shared by equivalence_test (the workload table) and
  * property_test (the differential fuzzer over random programs).
  */
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/error.hh"
 #include "sim/json.hh"
 #include "system/simulation.hh"
 
@@ -44,6 +46,10 @@ describe(const Knobs &k)
 struct Observed
 {
     Knobs knobs;
+    /** "<kind>: <message>" of the SimError the final run raised, else
+     *  empty. A failed run records nothing else: its islands stop at
+     *  different cycles, so only the error itself is deterministic. */
+    std::string error;
     Cycles cycles = 0;
     std::string resultJson;  ///< RunResult::toJson of the final run
     std::uint64_t dramDigest = 0;
@@ -76,9 +82,17 @@ observe(SystemConfig cfg, const Knobs &k, const Drive &drive,
     cfg.islands = k.islands;
     Simulation sim(cfg);
     drive(sim);
-    const RunResult r = sim.run(budget);
     Observed o;
     o.knobs = k;
+    RunResult r;
+    try {
+        r = sim.run(budget);
+    } catch (const SimError &e) {
+        o.error = e.kind() + ": " + e.message();
+        if (check)
+            check(sim, o);
+        return o;
+    }
     o.cycles = r.cycles;
     o.resultJson = r.toJson().str();
     o.dramDigest = sim.system().dram().fingerprint();
@@ -117,9 +131,10 @@ knobProduct(const SystemConfig &cfg)
 
 /**
  * Run @p drive at every combination of knobProduct(@p cfg) and require
- * each to halt and match the oracle. Also holds the per-knob
- * invariants: fast-forward off never warps, the fast path off never
- * replays. Runs @p check at every combination; returns the oracle.
+ * each to halt (or raise an error) and match the oracle. Also holds
+ * the per-knob invariants: fast-forward off never warps, the fast path
+ * off never replays. Runs @p check at every combination; returns the
+ * oracle.
  */
 inline Observed
 expectMatchesOracle(const SystemConfig &cfg, const Drive &drive,
@@ -130,7 +145,7 @@ expectMatchesOracle(const SystemConfig &cfg, const Drive &drive,
     for (const Knobs &k : knobProduct(cfg)) {
         SCOPED_TRACE(describe(k));
         const Observed o = observe(cfg, k, drive, budget, check);
-        EXPECT_TRUE(o.halted);
+        EXPECT_TRUE(o.halted || !o.error.empty());
         if (!k.fastForward) {
             EXPECT_EQ(o.skipped, 0u);
             EXPECT_EQ(o.warps, 0u);
@@ -144,6 +159,7 @@ expectMatchesOracle(const SystemConfig &cfg, const Drive &drive,
             first = false;
             continue;
         }
+        EXPECT_EQ(o.error, oracle.error);
         EXPECT_EQ(o.cycles, oracle.cycles);
         EXPECT_EQ(o.resultJson, oracle.resultJson);
         EXPECT_EQ(o.dramDigest, oracle.dramDigest);

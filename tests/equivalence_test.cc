@@ -3,7 +3,7 @@
  * The equivalence matrix: every host optimisation — event-horizon
  * fast-forward and the wake gates riding on it (sim/clocked.hh), the
  * decoded-µop fast path (pe/decode.hh) and island sharding
- * (sim/island.hh) — must leave every deterministic observable
+ * (system/run_loop.cc) — must leave every deterministic observable
  * bit-identical to the oracle, the interpreter run without
  * fast-forward on one island. Each row of the table below is one
  * workload; it runs at every valid combination of fastForward x
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -141,12 +142,21 @@ loadLocalCopies(Simulation &sim, unsigned n,
     }
 }
 
+/** The statistic at dotted @p path ("system.hmc.vault0.refreshes"). */
 std::uint64_t
 counterAt(Simulation &sim, const std::string &path)
 {
-    const Counter *c = sim.system().stats().findCounterByPath(path);
-    EXPECT_NE(c, nullptr) << path;
-    return c ? c->value() : 0;
+    std::optional<std::uint64_t> found;
+    sim.system().stats().visit({
+        [&](const std::string &p, std::uint64_t value,
+            const std::string &) {
+            if (p == path)
+                found = value;
+        },
+        nullptr,
+    });
+    EXPECT_TRUE(found.has_value()) << path;
+    return found.value_or(0);
 }
 
 void
@@ -560,7 +570,7 @@ vaultThroughRefreshThenEnqueued()
                 }
             },
             [](Simulation &sim, const Observed &) {
-                EXPECT_GE(counterAt(sim, "hmc.vault0.refreshes"), 2u);
+                EXPECT_GE(counterAt(sim, "system.hmc.vault0.refreshes"), 2u);
             },
             true};
 }
@@ -619,8 +629,34 @@ catchUpRefreshes()
                                            2));
             },
             [](Simulation &sim, const Observed &) {
-                EXPECT_GE(counterAt(sim, "hmc.vault2.refreshes"), 3u);
+                EXPECT_GE(counterAt(sim, "system.hmc.vault2.refreshes"), 3u);
             }};
+}
+
+Row
+faultsOnTwoIslands()
+{
+    // PE 3 (column 3) faults at cycle 1 and PE 0 (column 0) at cycle
+    // 3: inside one quantum and, at islands {2, 4}, on different
+    // islands. The oracle raises PE 3's fault, the first in simulated
+    // time, and so must every combination: whichever island's thread
+    // gets there first, and whether or not the fast path runs PE 0's
+    // straight-line prologue as one block.
+    return {makeSystemConfig(16, 1),
+            [](Simulation &sim) {
+                auto faulting = [](unsigned nops) {
+                    AsmBuilder b;
+                    for (unsigned i = 0; i < nops; ++i)
+                        b.nop();
+                    b.movImm(1, 0);
+                    b.setVl(1);  // a vector length of 0 is illegal
+                    b.halt();
+                    return b.finish();
+                };
+                sim.loadProgram(0, faulting(2));
+                sim.loadProgram(3, faulting(0));
+            },
+            {}};
 }
 
 template <Cycles kCut>
@@ -670,6 +706,8 @@ struct Golden
     Cycles cycles = 0;
     std::uint64_t instructions = 0;
     std::uint64_t dramDigest = 0;
+    /** The oracle's Observed::error; null pins a run without one. */
+    const char *error = nullptr;
 };
 
 // BP cycles re-pinned (2043 -> 2048) and FC cycles (3676 -> 3667) when
@@ -726,6 +764,8 @@ const Entry kIslandRows[] = {
     {"CrossIslandTraffic", crossIslandTraffic, {}},
     {"IslandLocalFaultCampaign", islandLocalFaultCampaign, {}},
     {"WakeGateCatchUpRefreshes", catchUpRefreshes, {}},
+    {"FaultsOnTwoIslands", faultsOnTwoIslands,
+     {0, 0, 0, "program: pe3 pc 1: set.vl with illegal length 0"}},
     {"BudgetCutAt7ThenResume", budgetCutThenResume<7>, {}},
     {"BudgetCutAt333ThenResume", budgetCutThenResume<333>, {}},
     {"BudgetCutAt1000ThenResume", budgetCutThenResume<1000>, {}},
@@ -764,6 +804,7 @@ TEST_P(Equivalence, EveryKnobCombinationMatchesTheOracle)
     if (e.golden.dramDigest) {
         EXPECT_EQ(oracle.dramDigest, e.golden.dramDigest);
     }
+    EXPECT_EQ(oracle.error, e.golden.error ? e.golden.error : "");
 }
 
 std::string

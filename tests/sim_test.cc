@@ -6,7 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/histogram.hh"
 #include "sim/logging.hh"
@@ -26,7 +27,7 @@ TEST(Types, CycleConversions)
     EXPECT_NEAR(cyclesToMs(1'250'000), 1.0, 1e-9);
 }
 
-TEST(Stats, CountersAndDump)
+TEST(Stats, CountersAndVisit)
 {
     StatGroup root("root");
     StatGroup child("child", &root);
@@ -41,21 +42,37 @@ TEST(Stats, CountersAndDump)
     });
 
     EXPECT_EQ(a.value(), 6u);
-    EXPECT_EQ(root.findCounter("a"), &a);
-    EXPECT_EQ(root.findCounter("missing"), nullptr);
-    EXPECT_DOUBLE_EQ(root.evalFormula("ratio"), 3.0);
 
-    std::ostringstream os;
-    root.dump(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("root.a 6 # counter a"), std::string::npos);
-    EXPECT_NE(text.find("root.child.b 2 # counter b"),
-              std::string::npos);
-    EXPECT_NE(text.find("root.ratio 3"), std::string::npos);
+    // visit() reports every statistic under its dotted path, in
+    // registration order: a group's counters, its formulas, then its
+    // children.
+    std::vector<std::string> seen;
+    root.visit({
+        [&seen](const std::string &path, std::uint64_t value,
+                const std::string &desc) {
+            seen.push_back(path + " " + std::to_string(value) + " # " +
+                           desc);
+        },
+        [&seen](const std::string &path, double value,
+                const std::string &desc) {
+            EXPECT_DOUBLE_EQ(value, 3.0);
+            seen.push_back(path + " # " + desc);
+        },
+    });
+    const std::vector<std::string> expected = {
+        "root.a 6 # counter a",
+        "root.ratio # a per b",
+        "root.child.b 2 # counter b",
+    };
+    EXPECT_EQ(seen, expected);
 
-    root.resetStats();
-    EXPECT_EQ(a.value(), 0u);
-    EXPECT_EQ(b.value(), 0u);
+    // Either callback may be empty.
+    unsigned formulas = 0;
+    root.visit({nullptr, [&formulas](const std::string &, double,
+                                     const std::string &) {
+                    ++formulas;
+                }});
+    EXPECT_EQ(formulas, 1u);
 }
 
 TEST(Histogram, BucketsAndPercentiles)

@@ -2,18 +2,16 @@
  * @file
  * Tests for the vip::Simulation facade and the parallel SweepEngine:
  * end-to-end program execution through the fluent API, parallel-vs-
- * serial sweep equivalence, error propagation, configuration helpers,
- * and the JSON statistics dump.
+ * serial sweep equivalence, error propagation and configuration
+ * helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "sim/stats.hh"
 #include "sim/sweep.hh"
 #include "system/simulation.hh"
 
@@ -182,45 +180,6 @@ TEST(SweepEngine, JobSeedIsDeterministicAndDistinct)
     EXPECT_NE(jobSeed(0), jobSeed(1));
     EXPECT_NE(jobSeed(1), jobSeed(2));
     EXPECT_NE(jobSeed(3, 1), jobSeed(3, 2));
-}
-
-TEST(Stats, DumpJsonSortsKeysAndIsStable)
-{
-    StatGroup root("root");
-    StatGroup zeta("zeta", &root);
-    StatGroup alpha("alpha", &root);
-    Counter c(&root, "charlie", "third");
-    Counter a(&root, "able", "first");
-    Counter z(&zeta, "zz", "nested");
-    c += 3;
-    a += 1;
-    z += 9;
-    root.addFormula("baker", "in between", [] { return 0.5; });
-
-    std::ostringstream first, second;
-    root.dumpJson(first);
-    root.dumpJson(second);
-    EXPECT_EQ(first.str(), second.str());
-
-    const std::string json = first.str();
-    // Keys appear in sorted order regardless of registration order.
-    const auto p_able = json.find("\"able\"");
-    const auto p_alpha = json.find("\"alpha\"");
-    const auto p_baker = json.find("\"baker\"");
-    const auto p_charlie = json.find("\"charlie\"");
-    const auto p_zeta = json.find("\"zeta\"");
-    ASSERT_NE(p_able, std::string::npos);
-    ASSERT_NE(p_alpha, std::string::npos);
-    ASSERT_NE(p_baker, std::string::npos);
-    ASSERT_NE(p_charlie, std::string::npos);
-    ASSERT_NE(p_zeta, std::string::npos);
-    EXPECT_LT(p_able, p_alpha);
-    EXPECT_LT(p_alpha, p_baker);
-    EXPECT_LT(p_baker, p_charlie);
-    EXPECT_LT(p_charlie, p_zeta);
-    EXPECT_NE(json.find("\"charlie\": 3"), std::string::npos);
-    EXPECT_NE(json.find("\"baker\": 0.5"), std::string::npos);
-    EXPECT_NE(json.find("\"zz\": 9"), std::string::npos);
 }
 
 } // namespace

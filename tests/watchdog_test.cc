@@ -3,22 +3,23 @@
  * The run-loop watchdog and the ingress backpressure path under
  * event-horizon fast-forward.
  *
- * Rounds of the run loop end where the watchdog next looks, and warps
- * stop short of it (see IslandScheduler::decideNextRound), so a
- * machine that stops making progress throws DeadlockError at the same
- * cycle for any island count and whether or not dead cycles are being
- * skipped — warped cycles count toward the no-progress window. The
+ * Rounds of the run loop end where the watchdog next looks, so warps
+ * stop short of it (see VipSystem::RunLoop::roundEnd in
+ * system/run_loop.cc), and a machine that stops making progress throws
+ * DeadlockError at the same cycle for any island count and whether or
+ * not dead cycles are being skipped — warped cycles count toward the
+ * no-progress window. The
  * error carries a human-readable diagnosis of the stuck machine state
  * and leaves the system object intact.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "isa/builder.hh"
 #include "sim/error.hh"
+#include "sim/json.hh"
 #include "system/simulation.hh"
 
 namespace vip {
@@ -137,17 +138,17 @@ TEST(IngressBackpressure, DrainOrderSurvivesWarps)
 {
     // A depth-1 transaction queue forces arrivals to park in the
     // system's per-vault ingress queue. Four PEs hammering one vault
-    // must produce the identical cycle count and statistics tree with
-    // and without fast-forward — i.e. a warp never jumps over a drain
+    // must produce the identical cycle count and statistics with and
+    // without fast-forward — i.e. a warp never jumps over a drain
     // opportunity and never reorders parked requests.
     auto run = [](bool ff) {
         SystemConfig cfg = makeSystemConfig(1, 4);
         cfg.fastForward = ff;
         cfg.mem.transQueueDepth = 1;
-        VipSystem sys(cfg);
+        Simulation sim(cfg);
         for (unsigned pe = 0; pe < 4; ++pe) {
             AsmBuilder b;
-            const Addr base = sys.vaultBase(0) + pe * (1ull << 20);
+            const Addr base = sim.vaultBase(0) + pe * (1ull << 20);
             b.movImm(1, 0);
             b.movImm(2, 16);    // chunks
             b.movImm(3, static_cast<std::int64_t>(base));
@@ -163,13 +164,11 @@ TEST(IngressBackpressure, DrainOrderSurvivesWarps)
             b.branch(BranchCond::Lt, 1, 2, loop);
             b.memfence();
             b.halt();
-            sys.pe(pe).loadProgram(b.finish());
+            sim.loadProgram(pe, b.finish());
         }
-        sys.run(50'000'000);
-        EXPECT_TRUE(sys.allIdle());
-        std::ostringstream os;
-        sys.stats().dumpJson(os);
-        return std::make_pair(sys.now(), os.str());
+        const RunResult r = sim.run(50'000'000);
+        EXPECT_TRUE(r.haltedCleanly);
+        return std::make_pair(r.cycles, r.toJson().str());
     };
 
     const auto [ff_cycles, ff_stats] = run(true);

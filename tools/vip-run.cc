@@ -18,7 +18,8 @@
  *     --dump-regs          print the scalar register file
  *     --dump-spec          print the run as RunSpec JSON (a valid
  *                          vip-serve request body) and exit
- *     --stats              dump the statistics tree
+ *     --stats              print every counter and formula, one
+ *                          "path value" line each
  *     --json-stats FILE    write statistics as JSON ("-" = stdout):
  *                          a "host" section with wall-clock timing
  *                          plus the deterministic RunResult document
@@ -316,8 +317,13 @@ run(const Options &opt)
             std::printf(" %d", v);
         std::printf("\n");
     }
-    if (opt.wantStats)
-        std::fputs(result.stats.c_str(), stdout);
+    if (opt.wantStats) {
+        for (const auto &[path, value] : result.counters)
+            std::printf("%s %llu\n", path.c_str(),
+                        (unsigned long long)value);
+        for (const auto &[path, value] : result.formulas)
+            std::printf("%s %g\n", path.c_str(), value);
+    }
     if (!opt.common.jsonStatsPath.empty()) {
         // The deterministic RunResult document (counters, formulas,
         // faults — byte-identical run to run) plus a "host" section
