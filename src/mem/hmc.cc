@@ -25,16 +25,6 @@ HmcStack::enqueue(std::unique_ptr<MemRequest> req)
     return vaults_[home]->enqueue(std::move(req));
 }
 
-bool
-HmcStack::idle() const
-{
-    for (const auto &v : vaults_) {
-        if (!v->idle())
-            return false;
-    }
-    return true;
-}
-
 std::uint64_t
 HmcStack::totalBytesMoved() const
 {

@@ -36,8 +36,6 @@ class HmcStack
             v->tick(now);
     }
 
-    bool idle() const;
-
     VaultController &vault(unsigned i) { return *vaults_.at(i); }
     const VaultController &vault(unsigned i) const { return *vaults_.at(i); }
     unsigned numVaults() const { return static_cast<unsigned>(vaults_.size()); }

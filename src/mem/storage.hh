@@ -42,6 +42,8 @@ class DramStorage
 {
   public:
     static constexpr std::size_t kPageBytes = 4096;
+    /** Bytes the page table addresses (validateSystemConfig). */
+    static constexpr std::uint64_t kSpanBytes = std::uint64_t{64} << 30;
 
     DramStorage() = default;
     ~DramStorage();
@@ -128,6 +130,7 @@ class DramStorage
      *  machine for the root and 32 KiB per lazily-built leaf. */
     static constexpr unsigned kLeafBits = 12;
     static constexpr unsigned kRootBits = 12;
+    static_assert(kSpanBytes == kPageBytes << (kLeafBits + kRootBits));
     static constexpr std::size_t kLeafSlots = std::size_t{1} << kLeafBits;
     static constexpr std::size_t kRootSlots = std::size_t{1} << kRootBits;
 

@@ -127,7 +127,6 @@ TorusNoc::advance(unsigned island, std::size_t packet_index,
     Packet &pkt = sh.packets[packet_index];
     const unsigned bytes = pkt.payloadBytes + kHeaderBytes;
     const Cycles ser = (bytes + kBytesPerCycle - 1) / kBytesPerCycle;
-    const bool serial = shards_.size() == 1;
 
     if (node == pkt.dst) {
         if (!pkt.ejected) {
@@ -174,17 +173,11 @@ TorusNoc::advance(unsigned island, std::size_t packet_index,
             return;
         }
         const Cycles latency = pkt.deliveredAt - pkt.injectedAt;
-        if (serial) {
-            statDelivered_ += 1;
-            statBytes_ += pkt.payloadBytes;
-            statLatency_ += latency;
-            latencyHist_.sample(latency);
-        } else {
-            sh.delivered += 1;
-            sh.bytes += pkt.payloadBytes;
-            sh.latencyTotal += latency;
-            sh.hist.sample(latency);
-        }
+        sh.progress += 1;
+        sh.delivered += 1;
+        sh.bytes += pkt.payloadBytes;
+        sh.latencyTotal += latency;
+        sh.hist.sample(latency);
         if (pkt.onArrive)
             pkt.onArrive(pkt);
         sh.freeSlots.push_back(packet_index);
@@ -193,10 +186,7 @@ TorusNoc::advance(unsigned island, std::size_t packet_index,
 
     const auto [next, port] = route(node, pkt.dst);
     const Cycles start = occupy(linkId(node, port), now, bytes);
-    if (serial)
-        statHops_ += 1;
-    else
-        sh.hops += 1;
+    sh.hops += 1;
     const Cycles at = start + kHopLatency + ser;
     const unsigned dst_island = islandOf_[next];
     if (dst_island != island) {
@@ -222,6 +212,7 @@ TorusNoc::tick(Cycles now)
                "tick() drives an unpartitioned network; islands use "
                "tickIsland()");
     tickIsland(0, now);
+    flushIslandStats();
 }
 
 void
@@ -236,7 +227,7 @@ TorusNoc::tickIsland(unsigned island, Cycles now)
 }
 
 Cycles
-TorusNoc::islandNextEventAt(unsigned island, Cycles now) const
+TorusNoc::nextEventAt(unsigned island, Cycles now) const
 {
     const auto &events = shards_[island].events;
     if (events.empty())
@@ -245,24 +236,9 @@ TorusNoc::islandNextEventAt(unsigned island, Cycles now) const
 }
 
 bool
-TorusNoc::islandIdle(unsigned island) const
-{
-    const Shard &sh = shards_[island];
-    if (!sh.events.empty())
-        return false;
-    for (const auto &box : sh.outbox)
-        if (!box.empty())
-            return false;
-    return true;
-}
-
-bool
 TorusNoc::idle() const
 {
-    for (unsigned i = 0; i < shards_.size(); ++i)
-        if (!islandIdle(i))
-            return false;
-    return true;
+    return inFlight() == 0;
 }
 
 bool
@@ -304,27 +280,7 @@ TorusNoc::drainInboxes(unsigned island)
 std::uint64_t
 TorusNoc::islandDelivered(unsigned island) const
 {
-    // A single shard counts into the shared counters directly (see
-    // advance()); its tally stays zero.
-    return shards_.size() == 1 ? delivered() : shards_[island].delivered;
-}
-
-std::uint64_t
-TorusNoc::delivered() const
-{
-    std::uint64_t n = statDelivered_.value();
-    for (const Shard &sh : shards_)
-        n += sh.delivered;
-    return n;
-}
-
-std::uint64_t
-TorusNoc::talliedLatency() const
-{
-    std::uint64_t lat = 0;
-    for (const Shard &sh : shards_)
-        lat += sh.latencyTotal;
-    return lat;
+    return shards_[island].progress;
 }
 
 std::size_t

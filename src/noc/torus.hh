@@ -134,15 +134,17 @@ class TorusNoc
      *  mode, must be called from the source node's island thread. */
     void send(Packet pkt, Cycles now);
 
-    /** Deliver every packet whose arrival time has been reached.
-     *  Entry point for a standalone, unpartitioned network. */
+    /** Deliver every packet whose arrival time has been reached and
+     *  fold the tallies into the statistics. Entry point for a
+     *  standalone, unpartitioned network. */
     void tick(Cycles now);
 
+    /** Nothing in flight: no event on any heap, no mail in any box. */
     bool idle() const;
 
-    /** Packets delivered so far (merged counter plus any island
-     *  tallies not yet flushed). */
-    std::uint64_t delivered() const;
+    /** Packets delivered so far. Like every NoC statistic, current
+     *  whenever no run is in flight (see flushIslandStats). */
+    std::uint64_t delivered() const { return statDelivered_.value(); }
 
     /** Packets currently in flight (injected, not yet delivered). */
     std::size_t inFlight() const;
@@ -161,9 +163,8 @@ class TorusNoc
     avgLatency() const
     {
         const auto n = delivered();
-        const auto lat = statLatency_.value() + talliedLatency();
         return n == 0 ? 0.0
-                      : static_cast<double>(lat) /
+                      : static_cast<double>(statLatency_.value()) /
                             static_cast<double>(n);
     }
 
@@ -187,27 +188,19 @@ class TorusNoc
      * Split the network into islands: @p island_of_node maps every
      * node to its island in [0, islands). Must be called before any
      * traffic. islands == 1 (the construction default) is a single
-     * shard that counts straight into the shared statistics.
+     * shard.
      */
     void setPartition(const std::vector<unsigned> &island_of_node,
                       unsigned islands);
-
-    unsigned islands() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
 
     /** Deliver island-local events due by @p now. Island-mode analogue
      *  of tick(); call only from @p island's thread. */
     void tickIsland(unsigned island, Cycles now);
 
-    /** Earliest event queued on @p island's nodes (mailboxes are the
-     *  scheduler's job: undrained mail is not visible here). */
-    Cycles islandNextEventAt(unsigned island, Cycles now) const;
-
-    /** No events pending on @p island's nodes and nothing waiting in
-     *  its outboxes. */
-    bool islandIdle(unsigned island) const;
+    /** Earliest event queued on @p island's nodes, kIdleForever when
+     *  its heap is empty (mailboxes are the scheduler's job: undrained
+     *  mail is not visible here). */
+    Cycles nextEventAt(unsigned island, Cycles now) const;
 
     /**
      * Move every packet mailed to @p island into its event queue
@@ -217,15 +210,14 @@ class TorusNoc
     bool drainInboxes(unsigned island);
 
     /** Packets delivered so far by @p island alone (thread-confined:
-     *  the island's own progress report). With one island, every
-     *  packet the network delivered. */
+     *  the island's own progress report; never reset). */
     std::uint64_t islandDelivered(unsigned island) const;
 
     /**
      * Fold every island's deferred stat tallies into the shared
      * counters, in fixed island order (0, 1, ...). Called once per
-     * run, from one thread, after the islands have joined. A single
-     * shard updates the counters directly and leaves nothing to fold.
+     * run, from one thread, after the islands have joined, and by
+     * the standalone tick().
      */
     void flushIslandStats();
 
@@ -292,8 +284,11 @@ class TorusNoc
         std::priority_queue<Event, std::vector<Event>, std::greater<>>
             events;
 
-        /** Deferred stats (multi-island mode only): merged into the
-         *  shared counters by flushIslandStats() in island order. */
+        /** Packets this island ever delivered (islandDelivered). */
+        std::uint64_t progress = 0;
+
+        /** Deferred stats: merged into the shared counters by
+         *  flushIslandStats() in island order. */
         std::uint64_t delivered = 0;
         std::uint64_t bytes = 0;
         std::uint64_t latencyTotal = 0;
@@ -343,8 +338,6 @@ class TorusNoc
     std::vector<Shard> shards_;       ///< size 1 = unpartitioned
 
     FaultInjector *injector_ = nullptr;
-
-    std::uint64_t talliedLatency() const;
 
     StatGroup statGroup_;
     Counter statDelivered_;

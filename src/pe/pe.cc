@@ -100,8 +100,8 @@ Pe::Pe(const PeConfig &cfg, DramStorage &dram, const AddressMapper &mapper,
                        "fast-path attempts stopped by an outstanding "
                        "ld.reg target"),
                Counter(&fpGroup_, "fallback_horizon",
-                       "fast-path attempts cut by the chunk cap or run "
-                       "deadline"),
+                       "fast-path attempts cut by the run deadline or "
+                       "the watchdog's next look"),
                Counter(&fpGroup_, "fallback_tracer",
                        "fast-path attempts skipped because a tracer is "
                        "attached")}
@@ -519,6 +519,19 @@ Pe::sramRange(const Uop &u, const char *what) const
     return {static_cast<SpAddr>(start), static_cast<unsigned>(count * w)};
 }
 
+Addr
+Pe::dramRange(const Uop &u, unsigned bytes, const char *what) const
+{
+    const Addr addr = regs_[u.rs1];
+    const std::uint64_t capacity = mapper_.geometry().capacity();
+    if (addr > capacity || bytes > capacity - addr) {
+        programFault(what, " of ", bytes, " B at 0x", std::hex, addr,
+                     std::dec, " runs past the ", capacity,
+                     " B of DRAM");
+    }
+    return addr;
+}
+
 bool
 Pe::issueMemory(const Uop &u, Cycles now)
 {
@@ -529,7 +542,7 @@ Pe::issueMemory(const Uop &u, Cycles now)
     switch (u.op) {
       case Opcode::LdSram: {
         const auto [sp, bytes] = sramRange(u, "ld.sram");
-        const Addr dram = regs_[u.rs1];
+        const Addr dram = dramRange(u, bytes, "ld.sram");
         if (arc_.overlaps(sp, sp + bytes))
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         if (arc_.full())
@@ -552,7 +565,7 @@ Pe::issueMemory(const Uop &u, Cycles now)
       }
       case Opcode::StSram: {
         const auto [sp, bytes] = sramRange(u, "st.sram");
-        const Addr dram = regs_[u.rs1];
+        const Addr dram = dramRange(u, bytes, "st.sram");
         if (arc_.overlaps(sp, sp + bytes))
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         checkReadHazard(sp, bytes, now);
@@ -564,7 +577,7 @@ Pe::issueMemory(const Uop &u, Cycles now)
         return true;
       }
       case Opcode::LdReg: {
-        const Addr dram = regs_[u.rs1];
+        const Addr dram = dramRange(u, w, "ld.reg");
         if (!issueDramTransfer(dram, w, false, -1,
                                static_cast<int>(u.rd), now)) {
             return false;
@@ -589,7 +602,7 @@ Pe::issueMemory(const Uop &u, Cycles now)
         return true;
       }
       case Opcode::StReg: {
-        const Addr dram = regs_[u.rs1];
+        const Addr dram = dramRange(u, w, "st.reg");
         if (!issueDramTransfer(dram, w, true, -1, -1, now))
             return false;
         const std::uint64_t v = regs_[u.rd];
@@ -750,7 +763,7 @@ Pe::execFastBlock(const FastBlock &b, Cycles at)
 }
 
 bool
-Pe::tryFastPath(Cycles now)
+Pe::tryFastPath(Cycles now, Cycles horizon)
 {
     if (tracer_) {
         // The tracer observes every issue; stay on the per-µop path.
@@ -758,8 +771,6 @@ Pe::tryFastPath(Cycles now)
         return false;
     }
 
-    const Cycles horizon =
-        std::min(runDeadline_, now + cfg_.fastPathChunk);
     Cycles charged = 0;
     Counter *cause = nullptr;
 
@@ -818,7 +829,7 @@ Pe::tryFastPath(Cycles now)
 }
 
 void
-Pe::tick(Cycles now)
+Pe::tick(Cycles now, Cycles horizon)
 {
     if (wakeGate_ && stallCounter_ != nullptr && now < stallWakeAt_) {
         // Wake gate: the stall recorded at the last tick cannot break
@@ -851,7 +862,7 @@ Pe::tick(Cycles now)
         programFault("PC ran off the end of the program");
 
     if (cfg_.fastPath) {
-        if (tryFastPath(now))
+        if (tryFastPath(now, horizon))
             return;
         issueUop(decoded_.uops[pc_], now);
     } else {

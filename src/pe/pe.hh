@@ -19,6 +19,8 @@
  * instructions. A built-in hazard checker records (or, in strict mode,
  * panics on) reads scheduled inside a producer's timing shadow, which
  * is how we verify that generated kernels are legally scheduled.
+ * The PE keeps no time bounds of its own: each tick carries the run
+ * loop's horizon (see tick()).
  */
 
 #ifndef VIP_PE_PE_HH
@@ -78,14 +80,6 @@ struct PeConfig
      * interpreter as the oracle.
      */
     bool fastPath = true;
-
-    /**
-     * Most cycles one fast-path tick may charge in bulk. Bounded so a
-     * progress bump lands inside every watchdog window (the system
-     * clamps this to half its watchdog period) — a mega-loop executed
-     * natively would otherwise look like a hang to the deadlock check.
-     */
-    Cycles fastPathChunk = 65536;
 };
 
 /** How the PE hands memory transactions to the system. */
@@ -111,17 +105,15 @@ class Pe
 
     void setTracer(Tracer t) { tracer_ = std::move(t); }
 
-    /** Advance one clock cycle (issue at most one instruction). */
-    void tick(Cycles now);
-
     /**
-     * Exclusive cycle bound of the current run: the fast path never
-     * charges a block past it, so `run(N)` observes the same
-     * cut-mid-loop architectural state either way (the partial final
-     * block falls back to per-µop issue). VipSystem sets this at the
-     * top of every run; the default never limits.
+     * Advance one clock cycle (issue at most one instruction, or one
+     * chain of fast blocks). No chain charges cycles at or past
+     * @p horizon, the first of the run's deadline and the watchdog's
+     * next look: `run(N)` leaves the same cut-mid-loop state either
+     * way (the partial block falls back to per-µop issue), and every
+     * watchdog window sees a native loop's progress.
      */
-    void setRunDeadline(Cycles deadline) { runDeadline_ = deadline; }
+    void tick(Cycles now, Cycles horizon);
 
     /**
      * Earliest cycle the front end could make progress again. An
@@ -221,7 +213,7 @@ class Pe
         Counter fallbackIneligible; ///< block table says not eligible
         Counter fallbackRegs;     ///< live-in register not ready
         Counter fallbackPendingLoad; ///< block writes an ld.reg target
-        Counter fallbackHorizon;  ///< chunk/deadline cut the block
+        Counter fallbackHorizon;  ///< the tick's horizon cut the block
         Counter fallbackTracer;   ///< tracer attached (per-µop only)
     };
 
@@ -256,6 +248,9 @@ class Pe
      *  scratchpad is a program fault. */
     std::pair<SpAddr, unsigned> sramRange(const Uop &u,
                                           const char *what) const;
+    /** The DRAM address of a memory µop moving @p bytes; a range
+     *  past DRAM capacity is a program fault. */
+    Addr dramRange(const Uop &u, unsigned bytes, const char *what) const;
 
     bool regsReady(const Uop &u, Cycles now) const;
     bool regReady(unsigned r, Cycles now) const;
@@ -265,12 +260,12 @@ class Pe
     Cycles regsWakeAt(const Uop &u) const;
 
     /**
-     * Execute as many whole fast blocks as fit before the chunk cap /
-     * run deadline, charging their timing in bulk; true when at least
-     * one µop ran (the PE is then busy until fpBusyUntil_). The chain
-     * stops before a µop that would fault.
+     * Execute as many whole fast blocks as fit before @p horizon,
+     * charging their timing in bulk; true when at least one µop ran
+     * (the PE is then busy until fpBusyUntil_). The chain stops before
+     * a µop that would fault.
      */
-    bool tryFastPath(Cycles now);
+    bool tryFastPath(Cycles now, Cycles horizon);
 
     /** Functionally execute one fast block entered at cycle @p at, up
      *  to the first µop that would fault; returns the µops executed. */
@@ -336,9 +331,6 @@ class Pe
      * nextEventAt() reports it so fast-forward warps the dead cycles.
      */
     Cycles fpBusyUntil_ = 0;
-
-    /** Exclusive run bound fast blocks may not charge past. */
-    Cycles runDeadline_ = ~Cycles{0};
 
     /**
      * Registers with an outstanding ld.reg: the completion event will

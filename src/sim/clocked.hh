@@ -8,14 +8,16 @@
  * cycle at which the component, left alone, could change
  * architectural or statistical state. This is a contract, not a base
  * class: the one run loop (VipSystem's island round protocol,
- * system/run_loop.cc) calls the concrete types directly. Each island
- * ticks its components in a
- * fixed order, computes the horizon `min(nextEventAt)` over them (a
- * vault with parked ingress requests adds its next completion, when a
- * queue slot frees) and, when it lies beyond the current cycle, warps
- * simulated time directly to it — skipping cycles that would have
- * been no-op ticks for every component. That per-island warp is the
- * run loop's only one (system/run_loop.cc).
+ * system/run_loop.cc) calls the concrete types directly. The scheduler
+ * owns time and each component only reports when it next acts: one
+ * walk over an island ticks its components in a fixed order and, from
+ * the same walk, reports for the next cycle whether all of them are
+ * idle and the horizon `min(nextEventAt)` over them (a vault with
+ * parked ingress requests adds its next completion, when a queue slot
+ * frees). When the horizon lies beyond the current cycle the island
+ * warps simulated time directly to it — skipping cycles that would
+ * have been no-op ticks for every component. That per-island warp is
+ * the run loop's only one.
  *
  * The contract that keeps warping *exact* rather than approximate:
  *
@@ -82,13 +84,6 @@ struct FastForwardStats
 {
     Cycles skippedCycles = 0;  ///< dead cycles warped over
     std::uint64_t warps = 0;   ///< number of time warps taken
-
-    void
-    reset()
-    {
-        skippedCycles = 0;
-        warps = 0;
-    }
 };
 
 } // namespace vip

@@ -21,10 +21,13 @@
  *   phase A  every island ticks its own components from the round
  *            start to the round end, thread-confined and lock-free,
  *            warping over its own dead cycles (the run loop's one warp
- *            site);
+ *            site). Each tick returns the island's report for the next
+ *            cycle (idle? next event?), so one machine call per ticked
+ *            cycle both advances and reports;
  *   barrier
  *   phase B  every island drains the mailboxes its neighbors filled
- *            during phase A, then reports (idle? next event? progress);
+ *            during phase A (re-reporting only if mail arrived), and
+ *            publishes its progress;
  *   barrier  the last thread to arrive runs the round decision: stop
  *            (a failure / all idle / deadline / cancel / watchdog
  *            deadlock), or start the next round where this one ended.
@@ -87,6 +90,9 @@ class VipSystem::RunLoop
     {
         Cycles begin = 0;     ///< first cycle of the round
         Cycles end = 0;       ///< one past the last cycle
+        /** The first of the deadline and the watchdog's next look
+         *  (>= end): no fast-path chain may charge cycles past it. */
+        Cycles horizon = 0;
         bool stop = false;
         bool failed = false;  ///< an island threw; run() rethrows
         bool deadlocked = false;
@@ -111,18 +117,17 @@ class VipSystem::RunLoop
     const Round &run();
 
   private:
-    /** Per-island report, written by its own thread in phase B and
-     *  read by the round decision under barrier ordering. */
-    struct Slot
+    /** Per-island state, written by its own thread in phases A and
+     *  B and read by the round decision under barrier ordering.
+     *  Cache-line aligned: different threads write neighbouring slots
+     *  every round. */
+    struct alignas(64) Slot
     {
-        Cycles next = 0;          ///< next event (kIdleForever if idle)
+        /** The island's report for its tick cursor. */
+        IslandReport report;
         Cycles idleSince = 0;     ///< cursor when the island went idle
         std::uint64_t progress = 0;
-        bool idle = false;
-        /** Pad to a cache line: slots are written per-round by
-         *  different threads; keep them from false-sharing. */
-        char pad[64 - 2 * sizeof(Cycles) - sizeof(std::uint64_t) -
-                 sizeof(bool)];
+        FastForwardStats ff;      ///< merged after the join
     };
 
     /** What an island threw, and where in the serial tick order. */
@@ -140,11 +145,11 @@ class VipSystem::RunLoop
      *  cycle @p at. Call from a catch block only. */
     void fail(unsigned i, Cycles at);
 
-    /** Where the next round ends: the first of the quantum end
-     *  (counted from @p quiet_from, the earliest cycle at which any
-     *  island could act), the deadline, the watchdog's next look and
-     *  the next cancel poll. */
-    Cycles roundEnd(Cycles quiet_from) const;
+    /** Set the round's horizon and its end: the first of the
+     *  horizon, the quantum end (counted from @p quiet_from, the
+     *  earliest cycle at which any island could act) and the next
+     *  cancel poll. */
+    void bound(Cycles quiet_from);
 
     VipSystem &sys_;
     const unsigned islands_;
@@ -185,7 +190,7 @@ VipSystem::RunLoop::RunLoop(VipSystem &sys, Cycles deadline,
 {
     vip_assert(sys.now_ < deadline, "nothing to run");
     round_.begin = sys.now_;
-    round_.end = roundEnd(sys.now_);
+    bound(sys.now_);
     for (Slot &s : slots_)
         s.idleSince = sys.now_;
 }
@@ -200,6 +205,11 @@ VipSystem::RunLoop::run()
     islandMain(0);
     for (std::thread &t : threads)
         t.join();
+
+    for (const Slot &s : slots_) {
+        sys_.ff_.skippedCycles += s.ff.skippedCycles;
+        sys_.ff_.warps += s.ff.warps;
+    }
 
     // Rethrow what the serial machine would have: the earliest failure
     // in tick order, regardless of which thread hit a wall first.
@@ -232,45 +242,37 @@ void
 VipSystem::RunLoop::islandMain(unsigned i)
 {
     Slot &slot = slots_[i];
+    slot.report = sys_.islandReport(i, round_.begin);
     for (;;) {
         // ---- Phase A: tick own components through the round,
         // thread-confined (reads of round_ are ordered by the
-        // previous round's barrier-2 crossing).
+        // previous round's barrier-2 crossing). slot.report always
+        // describes cycle c.
         Cycles c = round_.begin;
         try {
             sys_.catchUpIsland(i, c);
-            // One idle check per tick. It comes before the warp: an
-            // island that just went idle must stop at its idle cycle,
-            // not warp to the round end.
-            while (c < round_.end && !sys_.islandIdle(i)) {
+            // An island that went idle stops at its idle cycle; it
+            // does not warp to the round end.
+            while (c < round_.end && !slot.report.idle) {
                 if (sys_.cfg_.fastForward) {
                     // The one warp site: skip the island's own dead
-                    // cycles (its nextEventAt clamps to refresh
-                    // deadlines, so none are jumped). At the round
-                    // start, phase B already computed it: an island
-                    // active here was active there, and nothing has
-                    // touched it since.
-                    const Cycles next = c == round_.begin
-                                            ? slot.next
-                                            : sys_.islandNextEventAt(i, c);
-                    const Cycles to = std::min(next, round_.end);
+                    // cycles (its report clamps to refresh deadlines,
+                    // so none are jumped).
+                    const Cycles to =
+                        std::min(slot.report.next, round_.end);
                     if (to > c) {
                         sys_.fastForwardIsland(i, c, to);
+                        slot.ff.skippedCycles += to - c;
+                        slot.ff.warps += 1;
                         c = to;
                         if (c == round_.end)
                             break;
                     }
                 }
-                sys_.tickIsland(i, c);
+                slot.report = sys_.tickIsland(i, c, round_.horizon);
                 ++c;
-            }
-            if (sys_.islandIdle(i)) {
-                if (!slot.idle) {
-                    slot.idle = true;
+                if (slot.report.idle)
                     slot.idleSince = c;
-                }
-            } else {
-                slot.idle = false;
             }
         } catch (...) {
             fail(i, c);
@@ -279,15 +281,14 @@ VipSystem::RunLoop::islandMain(unsigned i)
         barrier_.arriveAndWait([] {});
 
         // ---- Phase B: all producers quiesced; drain the mail they
-        // addressed to this island and publish the round report. An
-        // island that failed is left as it stopped.
+        // addressed to this island and publish the round report. Only
+        // the island's own heap and inbox are read: its outboxes are
+        // being drained by the neighbours right now. An island that
+        // failed is left as it stopped.
         if (!failures_[i].error) {
             try {
                 if (sys_.noc_.drainInboxes(i))
-                    slot.idle = false;  // reactivated by inbound mail
-                slot.next = slot.idle
-                                ? kIdleForever
-                                : sys_.islandNextEventAt(i, round_.end);
+                    slot.report = sys_.islandReport(i, round_.end);
                 slot.progress = sys_.islandProgress(i);
             } catch (...) {
                 fail(i, round_.end);
@@ -328,11 +329,11 @@ VipSystem::RunLoop::decideNextRound()
     Cycles latest_idle = 0;
     Cycles global_next = kIdleForever;
     for (const Slot &s : slots_) {
-        if (s.idle) {
+        if (s.report.idle) {
             latest_idle = std::max(latest_idle, s.idleSince);
         } else {
             all_idle = false;
-            global_next = std::min(global_next, s.next);
+            global_next = std::min(global_next, s.report.next);
         }
     }
 
@@ -388,19 +389,19 @@ VipSystem::RunLoop::decideNextRound()
     // phase A. Without fast-forward the oracle never consults the
     // horizon.
     round_.begin = round_.end;
-    round_.end = roundEnd(sys_.cfg_.fastForward
-                              ? std::max(round_.begin, global_next)
-                              : round_.begin);
+    bound(sys_.cfg_.fastForward ? std::max(round_.begin, global_next)
+                                : round_.begin);
 }
 
-Cycles
-VipSystem::RunLoop::roundEnd(Cycles quiet_from) const
+void
+VipSystem::RunLoop::bound(Cycles quiet_from)
 {
-    Cycles end = std::min(deadline_, satAdd(quiet_from, quantum_));
-    end = std::min(end, satAdd(lastCheck_, sys_.cfg_.watchdogCycles));
+    round_.horizon = std::min(
+        deadline_, satAdd(lastCheck_, sys_.cfg_.watchdogCycles));
+    round_.end =
+        std::min(round_.horizon, satAdd(quiet_from, quantum_));
     if (cancel_)
-        end = std::min(end, nextCancelPoll_);
-    return end;
+        round_.end = std::min(round_.end, nextCancelPoll_);
 }
 
 Cycles
@@ -412,16 +413,8 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
                "sweep job)");
     const Cycles deadline = max_cycles == 0 ? ~Cycles{0}
                                             : now_ + max_cycles;
-    // The fast path must not charge a block past the budget: a run cut
-    // mid-loop has to leave the same architectural state as a
-    // cycle-by-cycle run would (the partial block re-executes per-µop).
-    for (auto &pe : pes_)
-        pe->setRunDeadline(deadline);
-
-    for (unsigned i = 0; i < cfg_.islands; ++i) {
+    for (unsigned i = 0; i < cfg_.islands; ++i)
         islandNow_[i].v = now_;
-        ffIsland_[i].reset();
-    }
 
     RunLoop loop(*this, deadline, cancel);
     RunLoop::Round out;
@@ -434,12 +427,6 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
     }
 
     now_ = out.final;
-    // Merge layer: fold per-island state into the shared aggregates in
-    // fixed island order, after the threads have joined.
-    for (const FastForwardStats &f : ffIsland_) {
-        ff_.skippedCycles += f.skippedCycles;
-        ff_.warps += f.warps;
-    }
     noc_.flushIslandStats();
 
     if (out.deadlocked) {
@@ -466,14 +453,18 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
     return now_;
 }
 
-void
-VipSystem::tickIsland(unsigned island, Cycles now)
+VipSystem::IslandReport
+VipSystem::tickIsland(unsigned island, Cycles now, Cycles horizon)
 {
     // The machine's tick order, restricted to one island's nodes:
     // network deliveries first (they may complete PE transactions and
     // park requests at full vaults), then the vault controllers, then
     // the ingress drains (a completion this cycle frees a slot this
-    // cycle), then the PE front ends.
+    // cycle), then the PE front ends. A PE tick touches only its own
+    // state and the NoC, so each node's report is final once its PEs
+    // have ticked. The NoC is reported first, so a due packet ends the
+    // walk early, and again after the PE ticks, which can only add
+    // packets to it.
     islandNow_[island].v = now;
     noc_.tickIsland(island, now);
     const std::vector<unsigned> &nodes = partition_.nodesOf[island];
@@ -481,46 +472,56 @@ VipSystem::tickIsland(unsigned island, Cycles now)
         hmc_.vault(v).tick(now);
     for (const unsigned v : nodes)
         drainIngress(v);
+    IslandReport r;
+    reportNoc(island, now + 1, r);
     for (const unsigned v : nodes) {
         const unsigned base = v * cfg_.pesPerVault;
         for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            pes_[base + k]->tick(now);
+            pes_[base + k]->tick(now, horizon);
+        reportNode(v, now + 1, r);
     }
+    reportNoc(island, now + 1, r);
+    return r;
 }
 
-bool
-VipSystem::islandIdle(unsigned island) const
+VipSystem::IslandReport
+VipSystem::islandReport(unsigned island, Cycles now) const
 {
-    for (const unsigned v : partition_.nodesOf[island]) {
-        if (!ingress_[v].empty() || !hmc_.vault(v).idle())
-            return false;
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            if (!pes_[base + k]->idle())
-                return false;
-    }
-    return noc_.islandIdle(island);
+    IslandReport r;
+    reportNoc(island, now, r);
+    for (const unsigned v : partition_.nodesOf[island])
+        reportNode(v, now, r);
+    return r;
 }
 
-Cycles
-VipSystem::islandNextEventAt(unsigned island, Cycles now) const
+void
+VipSystem::reportNoc(unsigned island, Cycles now, IslandReport &r) const
 {
-    Cycles next = noc_.islandNextEventAt(island, now);
-    for (const unsigned v : partition_.nodesOf[island]) {
-        if (next <= now)
-            return now;
-        // Vault nextEventAt includes its refresh deadline, which is
-        // what clamps island-local warps so refreshes fire on time.
-        next = std::min(next, hmc_.vault(v).nextEventAt(now));
-        // A parked request drains when its vault frees a slot, and
-        // slots free only when a transaction completes.
-        if (!ingress_[v].empty())
-            next = std::min(next, hmc_.vault(v).nextCompletionAt());
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            next = std::min(next, pes_[base + k]->nextEventAt(now));
+    const Cycles next = noc_.nextEventAt(island, now);
+    r.idle = r.idle && next == kIdleForever;
+    r.next = std::min(r.next, next);
+}
+
+void
+VipSystem::reportNode(unsigned v, Cycles now, IslandReport &r) const
+{
+    if (!r.idle && r.next <= now)
+        return;  // busy now: nothing further can change the report
+    const VaultController &vault = hmc_.vault(v);
+    r.idle = r.idle && ingress_[v].empty() && vault.idle();
+    // Vault nextEventAt includes its refresh deadline, which is what
+    // clamps island-local warps so refreshes fire on time.
+    r.next = std::min(r.next, vault.nextEventAt(now));
+    // A parked request drains when its vault frees a slot, and slots
+    // free only when a transaction completes.
+    if (!ingress_[v].empty())
+        r.next = std::min(r.next, std::max(vault.nextCompletionAt(), now));
+    const unsigned base = v * cfg_.pesPerVault;
+    for (unsigned k = 0; k < cfg_.pesPerVault; ++k) {
+        const Pe &pe = *pes_[base + k];
+        r.idle = r.idle && pe.idle();
+        r.next = std::min(r.next, pe.nextEventAt(now));
     }
-    return std::max(next, now);
 }
 
 std::uint64_t
@@ -543,8 +544,6 @@ VipSystem::fastForwardIsland(unsigned island, Cycles from, Cycles to)
         for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
             pes_[base + k]->fastForward(from, to);
     }
-    ffIsland_[island].skippedCycles += to - from;
-    ffIsland_[island].warps += 1;
     islandNow_[island].v = to;
 }
 

@@ -1,5 +1,6 @@
 #include "system/runspec.hh"
 
+#include <limits>
 #include <utility>
 
 #include "sim/cancel.hh"
@@ -26,6 +27,17 @@ rejectUnknown(const Json &j, const std::string &path,
         if (!known)
             throw ConfigError("unknown key \"" + path + key + "\"");
     }
+}
+
+/** @p j as an unsigned, naming @p path when it does not fit. */
+unsigned
+asUnsigned(const Json &j, const char *path)
+{
+    const std::uint64_t v = j.asU64();
+    if (v > std::numeric_limits<unsigned>::max())
+        throw ConfigError(std::string(path) + " = " + std::to_string(v) +
+                          " is out of range");
+    return static_cast<unsigned>(v);
 }
 
 } // namespace
@@ -82,7 +94,7 @@ RunSpec::fromJson(const Json &j)
         for (const Json &pj : progs->asArray()) {
             rejectUnknown(pj, "programs[].", {"pe", "source"});
             Program p;
-            p.pe = static_cast<unsigned>(pj.at("pe").asU64());
+            p.pe = asUnsigned(pj.at("pe"), "programs[].pe");
             p.source = pj.at("source").asString();
             spec.programs.push_back(std::move(p));
         }
@@ -108,8 +120,8 @@ RunSpec::fromJson(const Json &j)
         for (const Json &rj : regs->asArray()) {
             rejectUnknown(rj, "regs[].", {"pe", "reg", "value"});
             RegSet r;
-            r.pe = static_cast<unsigned>(rj.at("pe").asU64());
-            r.reg = static_cast<unsigned>(rj.at("reg").asU64());
+            r.pe = asUnsigned(rj.at("pe"), "regs[].pe");
+            r.reg = asUnsigned(rj.at("reg"), "regs[].reg");
             r.value = rj.at("value").asU64();
             spec.regs.push_back(r);
         }
@@ -138,10 +150,21 @@ std::unique_ptr<Simulation>
 buildSimulation(const RunSpec &spec)
 {
     auto sim = std::make_unique<Simulation>(spec.config);
-    for (const RunSpec::DramPoke &p : spec.pokes)
+    const std::uint64_t capacity = spec.config.mem.geom.capacity();
+    for (const RunSpec::DramPoke &p : spec.pokes) {
+        const std::uint64_t bytes = 2 * std::uint64_t{p.values.size()};
+        if (p.addr > capacity || bytes > capacity - p.addr)
+            throw ConfigError("pokes[].addr = " + std::to_string(p.addr) +
+                              ": " + std::to_string(bytes) +
+                              " B run past DRAM capacity");
         sim->pokeDram(p.addr, p.values);
-    for (const RunSpec::RegSet &r : spec.regs)
+    }
+    for (const RunSpec::RegSet &r : spec.regs) {
+        if (r.reg >= kNumScalarRegs)
+            throw ConfigError("regs[].reg = " + std::to_string(r.reg) +
+                              "; registers are r0..r63");
         sim->setReg(r.pe, r.reg, r.value);
+    }
     for (const RunSpec::Program &p : spec.programs)
         sim->loadProgram(p.pe, p.source);
     return sim;

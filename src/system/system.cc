@@ -75,6 +75,13 @@ validateSystemConfig(const SystemConfig &cfg)
             "dividing rowBytes (got rowBytes=" +
                 std::to_string(g.rowBytes) +
                 ", colBytes=" + std::to_string(g.colBytes) + ")");
+    // Divided out factor by factor, so no product can overflow.
+    require(g.rowsPerBank <= DramStorage::kSpanBytes / g.rowBytes /
+                                 g.banksPerVault / g.vaults,
+            "mem.geom: capacity (vaults x banksPerVault x rowsPerBank x "
+            "rowBytes) exceeds the " +
+                std::to_string(DramStorage::kSpanBytes >> 30) +
+                " GiB the DRAM store can address");
 
     const DramTiming &t = cfg.mem.timing;
     require(t.tCL > 0 && t.tRCD > 0 && t.tRP > 0 && t.tRAS > 0 &&
@@ -129,7 +136,6 @@ VipSystem::VipSystem(const SystemConfig &cfg)
     if (cfg_.islands > 1)
         noc_.setPartition(partition_.islandOfNode, cfg_.islands);
     islandNow_.resize(cfg_.islands);
-    ffIsland_.resize(cfg_.islands);
 
     const unsigned num_pes = cfg_.mem.geom.vaults * cfg_.pesPerVault;
     pes_.reserve(num_pes);
@@ -138,12 +144,6 @@ VipSystem::VipSystem(const SystemConfig &cfg)
         pe_cfg.peId = id;
         pe_cfg.vault = id / cfg_.pesPerVault;
         pe_cfg.fastPath = cfg_.fastPath;
-        // Half the watchdog period bounds a bulk charge, so a progress
-        // bump always lands inside every watchdog window and a
-        // natively-executed mega-loop can't be mistaken for a hang.
-        pe_cfg.fastPathChunk =
-            std::min<Cycles>(pe_cfg.fastPathChunk,
-                             std::max<Cycles>(1, cfg_.watchdogCycles / 2));
         const unsigned src_vault = pe_cfg.vault;
         pes_.push_back(std::make_unique<Pe>(
             pe_cfg, hmc_.storage(), hmc_.mapper(),
@@ -255,15 +255,10 @@ VipSystem::drainIngress(unsigned v)
 bool
 VipSystem::allIdle() const
 {
-    for (const auto &pe : pes_) {
-        if (!pe->idle())
+    for (unsigned i = 0; i < cfg_.islands; ++i)
+        if (!islandReport(i, now_).idle)
             return false;
-    }
-    for (const auto &q : ingress_) {
-        if (!q.empty())
-            return false;
-    }
-    return hmc_.idle() && noc_.idle();
+    return true;
 }
 
 std::string

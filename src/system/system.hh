@@ -18,7 +18,10 @@
  * island order after the join — producing bit-identical results to
  * islands == 1, which is the same loop with one island on the calling
  * thread (see docs/INTERNALS.md "Island partitioning & conservative
- * quanta").
+ * quanta"). The loop makes one machine call per ticked cycle:
+ * tickIsland ticks an island's nodes and returns their report for the
+ * next cycle (idle? next event?) from the same walk, which is also the
+ * machine's one definition of idle (allIdle()).
  */
 
 #ifndef VIP_SYSTEM_SYSTEM_HH
@@ -226,10 +229,22 @@ class VipSystem
     // ---- the run loop (system/run_loop.cc) ---------------------------
     class RunLoop;
 
-    /** The per-island view of the machine the run loop drives. */
-    void tickIsland(unsigned island, Cycles now);
-    bool islandIdle(unsigned island) const;
-    Cycles islandNextEventAt(unsigned island, Cycles now) const;
+    /** An island at cycle `now`: all idle (the island's own outboxes
+     *  do not count: its neighbours drain them), and the earliest
+     *  cycle >= now at which a component could act. */
+    struct IslandReport
+    {
+        bool idle = true;
+        Cycles next = kIdleForever;
+    };
+
+    /** The per-island view of the machine the run loop drives.
+     *  tickIsland ticks cycle @p now and returns the report for
+     *  now + 1 from the same walk; islandReport only reports. */
+    IslandReport tickIsland(unsigned island, Cycles now, Cycles horizon);
+    IslandReport islandReport(unsigned island, Cycles now) const;
+    void reportNode(unsigned v, Cycles now, IslandReport &r) const;
+    void reportNoc(unsigned island, Cycles now, IslandReport &r) const;
     std::uint64_t islandProgress(unsigned island) const;
     void fastForwardIsland(unsigned island, Cycles from, Cycles to);
     void catchUpIsland(unsigned island, Cycles until);
@@ -260,10 +275,6 @@ class VipSystem
     std::vector<std::deque<std::unique_ptr<MemRequest>>> ingress_;
 
     FastForwardStats ff_;
-
-    /** Per-island fast-forward tallies, merged into ff_ (in island
-     *  order) after the threads join. */
-    std::vector<FastForwardStats> ffIsland_;
 
     /** Per-island tick cursors for localNow(); cache-line padded —
      *  each island's thread rewrites its own entry every tick. */

@@ -372,6 +372,33 @@ fastPathFaultCampaign()
             expectFaultsFired};
 }
 
+Row
+tinyWatchdogSelfLoop()
+{
+    // A self-loop of about 10^5 cycles under a 64-cycle watchdog, cut
+    // mid-loop by a budget and then resumed. A block chain must stop at
+    // the watchdog's next look (Pe::tick's horizon): one that charged
+    // past it would leave a whole watchdog window without progress,
+    // and the run would end in a DeadlockError.
+    SystemConfig cfg = makeSystemConfig(16, 1);
+    cfg.watchdogCycles = 64;
+    return {cfg,
+            [](Simulation &sim) {
+                AsmBuilder b;
+                emitSpin(b, 50000);
+                b.halt();
+                sim.loadProgram(0, b.finish());
+                const RunResult cut = sim.run(33'333);
+                EXPECT_FALSE(cut.haltedCleanly);
+            },
+            [](Simulation &, const Observed &o) {
+                EXPECT_EQ(o.error, "");
+                if (o.knobs.fastPath) {
+                    EXPECT_GT(o.blockRuns, 0u);
+                }
+            }};
+}
+
 // --- Islands -----------------------------------------------------------
 
 Row
@@ -756,6 +783,7 @@ const Entry kFastForwardRows[] = {
 const Entry kFastPathRows[] = {
     {"ScalarLoop", scalarLoop, {}},
     {"FastPathFaultCampaign", fastPathFaultCampaign, {}},
+    {"TinyWatchdogSelfLoop", tinyWatchdogSelfLoop, {}},
 };
 
 /** Sixteen-vault machines, where islands {2, 4} are valid cuts. */

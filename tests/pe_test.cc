@@ -601,6 +601,53 @@ TEST(PeProgramFault, IllegalConfigAndRunawayPc)
         off.movImm(1, 1);
         expectProgramFault(off.finish(),
                            "pc 1: PC ran off the end of the program", fast);
+
+        // A DRAM range past capacity faults before the µop issues, for
+        // all four memory ops; the last in-range bytes still move.
+        AsmBuilder ld;
+        ld.movImm(1, 0x7000000000000000);
+        ld.ldReg(2, 1, ElemWidth::W16);
+        ld.halt();
+        expectProgramFault(ld.finish(),
+                           "pc 1: ld.reg of 2 B at 0x7000000000000000 "
+                           "runs past the",
+                           fast);
+        AsmBuilder st;
+        st.movImm(1, 0x7000000000000000);
+        st.stReg(2, 1);
+        st.halt();
+        expectProgramFault(st.finish(), "pc 1: st.reg of 8 B", fast);
+        const std::int64_t end = static_cast<std::int64_t>(
+            makeSystemConfig(1, 1).mem.geom.capacity());
+        auto sram = [](bool store, std::int64_t dram) {
+            AsmBuilder b;
+            b.movImm(1, 16);
+            b.movImm(10, dram);
+            b.movImm(20, 0);
+            if (store)
+                b.stSram(20, 10, 1, ElemWidth::W8);
+            else
+                b.ldSram(20, 10, 1, ElemWidth::W8);
+            b.memfence();
+            b.halt();
+            return b.finish();
+        };
+        expectProgramFault(sram(false, end - 8), "pc 3: ld.sram of 16 B",
+                           fast);
+        expectProgramFault(sram(true, end), "pc 3: st.sram of 16 B", fast);
+        EXPECT_NO_THROW(runFresh(sram(false, end - 16), fast));
+        EXPECT_NO_THROW(runFresh(sram(true, end - 16), fast));
+    }
+
+    // A geometry the DRAM store cannot address is rejected up front.
+    SystemConfig huge = makeSystemConfig(1, 1);
+    huge.mem.geom.rowsPerBank = 1073741824;
+    try {
+        VipSystem sys(huge);
+        ADD_FAILURE() << "accepted a 4 TiB geometry";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("64 GiB"), std::string::npos)
+            << e.what();
     }
 }
 

@@ -221,10 +221,22 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     Json bad_req = Json::object();
     bad_req.set("run", std::move(bad_spec));
 
+    // Inputs outside the machine: register r99, and a poke at 2^63.
+    RunSpec bad_reg_spec = dotSpec();
+    bad_reg_spec.regs.push_back({0, 99, 1});
+    Json bad_reg = Json::object();
+    bad_reg.set("run", bad_reg_spec.toJson());
+    RunSpec bad_poke_spec = dotSpec();
+    bad_poke_spec.pokes.push_back({Addr{1} << 63, {1}});
+    Json bad_poke = Json::object();
+    bad_poke.set("run", bad_poke_spec.toJson());
+
     const std::string requests =
         "this is not json\n" +        // parse failure
         bad_req.str() + "\n" +        // ConfigError
         std::string("{\"cmd\": \"no-such-command\"}\n") +
+        bad_reg.str() + "\n" +        // ConfigError, not an abort
+        bad_poke.str() + "\n" +       // likewise
         req.str() + "\n";             // still served after all that
 
     VipServer server;
@@ -233,7 +245,7 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     server.serve(in, out);
 
     const std::vector<std::string> rsp = lines(out.str());
-    ASSERT_EQ(rsp.size(), 4u);
+    ASSERT_EQ(rsp.size(), 6u);
     EXPECT_EQ(Json::parse(rsp[0]).at("error").at("kind").asString(),
               "json");
     EXPECT_EQ(Json::parse(rsp[1]).at("error").at("kind").asString(),
@@ -246,13 +258,24 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
               std::string::npos);
     EXPECT_EQ(Json::parse(rsp[2]).at("error").at("kind").asString(),
               "config");
+    for (const auto &[i, field] :
+         {std::pair{3, "regs[].reg"}, std::pair{4, "pokes[].addr"}}) {
+        const Json doc = Json::parse(rsp[i]);
+        const Json &err = doc.at("error");
+        EXPECT_EQ(err.at("kind").asString(), "config");
+        EXPECT_NE(err.at("message").asString().find(field),
+                  std::string::npos)
+            << rsp[i];
+    }
     // The loop survived and the valid request still ran.
-    EXPECT_TRUE(Json::parse(rsp[3])
+    EXPECT_TRUE(Json::parse(rsp[5])
                     .at("result")
                     .at("haltedCleanly")
                     .asBool());
-    EXPECT_EQ(server.errors(), 3u);
-    EXPECT_EQ(server.cacheMisses(), 1u);
+    EXPECT_EQ(server.errors(), 5u);
+    // The two out-of-machine specs parse, miss the cache and fail when
+    // the simulation is built.
+    EXPECT_EQ(server.cacheMisses(), 3u);
 }
 
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
@@ -420,17 +443,28 @@ TEST(VipServer, ProgramFaultIsStructuredAndTheLoopSurvives)
     bad_req.set("run", bad.toJson());
     Json good_req = Json::object();
     good_req.set("run", dotSpec().toJson());
+    // A load past DRAM capacity is the program's fault too.
+    RunSpec far = dotSpec();
+    far.programs[0].source =
+        "mov.imm r1, 0x7000000000000000\nld.reg[16] r2, r1\nhalt\n";
+    Json far_req = Json::object();
+    far_req.set("run", far.toJson());
 
     const std::vector<std::string> rsp =
-        serveLines(bad_req.str() + "\n" + good_req.str() + "\n");
-    ASSERT_EQ(rsp.size(), 2u);
+        serveLines(bad_req.str() + "\n" + far_req.str() + "\n" +
+                   good_req.str() + "\n");
+    ASSERT_EQ(rsp.size(), 3u);
     const Json first = Json::parse(rsp[0]);
     const Json &err = first.at("error");
     EXPECT_EQ(err.at("kind").asString(), "program");
     EXPECT_NE(err.at("message").asString().find("pe0 pc 3: st.sram"),
               std::string::npos)
         << rsp[0];
-    EXPECT_TRUE(Json::parse(rsp[1]).at("result").at("haltedCleanly").asBool());
+    EXPECT_NE(Json::parse(rsp[1]).at("error").at("message").asString().find(
+                  "pe0 pc 1: ld.reg of 2 B at 0x7000000000000000"),
+              std::string::npos)
+        << rsp[1];
+    EXPECT_TRUE(Json::parse(rsp[2]).at("result").at("haltedCleanly").asBool());
 }
 
 } // namespace

@@ -242,6 +242,17 @@ resumeCampaign(const std::string &path)
     return 0;
 }
 
+/** Report a --dump-* range outside the machine; the exit status. */
+int
+badDump(const char *flag, Addr addr, unsigned count)
+{
+    std::fprintf(stderr,
+                 "vip-run: %s: %u values at 0x%llx lie outside the "
+                 "machine\n",
+                 flag, count, static_cast<unsigned long long>(addr));
+    return 2;
+}
+
 int
 run(const Options &opt)
 {
@@ -258,6 +269,17 @@ run(const Options &opt)
     if (opt.dumpSpec) {
         std::cout << spec.toJson().str(0) << "\n";
         return 0;
+    }
+    // The dumps read the machine after the run: reject a range outside
+    // it before spending the run.
+    const std::uint64_t capacity = spec.config.mem.geom.capacity();
+    for (const auto &[addr, count] : opt.dumpDram) {
+        if (addr > capacity || 2ull * count > capacity - addr)
+            return badDump("--dump-dram", addr, count);
+    }
+    for (const auto &[addr, count] : opt.dumpSp) {
+        if (!Scratchpad::contains(addr, 2ull * count))
+            return badDump("--dump-sp", addr, count);
     }
 
     const auto sim = buildSimulation(spec);
@@ -377,24 +399,35 @@ main(int argc, char **argv)
         auto num = [&](const std::string &text) {
             return cli::parseNum(argv[0], arg.c_str(), text.c_str());
         };
+        // "A<sep>B" as two numbers; exits 2 without the separator.
+        auto numPair = [&](char sep) {
+            const std::string v = next();
+            const auto at = v.find(sep);
+            if (at == std::string::npos) {
+                std::fprintf(stderr, "%s: %s: '%s' needs the form A%cB\n",
+                             argv[0], arg.c_str(), v.c_str(), sep);
+                std::exit(2);
+            }
+            return std::pair{num(v.substr(0, at)), num(v.substr(at + 1))};
+        };
         if (arg == "--reg") {
-            const std::string v = next();
-            const auto eq = v.find('=');
-            opt.regs.emplace_back(std::stoul(v.substr(0, eq)),
-                                  num(v.substr(eq + 1)));
+            const auto [r, value] = numPair('=');
+            if (r >= kNumScalarRegs) {
+                std::fprintf(stderr, "%s: --reg: no register r%llu "
+                             "(r0..r%u)\n", argv[0],
+                             static_cast<unsigned long long>(r),
+                             kNumScalarRegs - 1);
+                std::exit(2);
+            }
+            opt.regs.emplace_back(static_cast<unsigned>(r), value);
         } else if (arg == "--dram") {
-            const std::string v = next();
-            const auto eq = v.find('=');
-            opt.pokes.emplace_back(num(v.substr(0, eq)),
-                                   static_cast<std::int16_t>(std::stol(
-                                       v.substr(eq + 1), nullptr, 0)));
+            // The value wraps to 16 bits, so "-1" and "0xffff" agree.
+            const auto [addr, value] = numPair('=');
+            opt.pokes.emplace_back(addr, static_cast<std::int16_t>(value));
         } else if (arg == "--dump-dram" || arg == "--dump-sp") {
-            const std::string v = next();
-            const auto comma = v.find(',');
+            const auto [addr, count] = numPair(',');
             auto &list = arg == "--dump-dram" ? opt.dumpDram : opt.dumpSp;
-            list.emplace_back(num(v.substr(0, comma)),
-                              static_cast<unsigned>(
-                                  num(v.substr(comma + 1))));
+            list.emplace_back(addr, static_cast<unsigned>(count));
         } else if (arg == "--dump-regs") {
             opt.dumpRegs = true;
         } else if (arg == "--dump-spec") {
