@@ -22,6 +22,10 @@ const std::uint8_t *
 DramStorage::pageFor(Addr addr) const
 {
     const Addr page_no = addr / kPageBytes;
+    // Past the radix span nothing was ever written (pageForWrite
+    // asserts there): it reads as an untouched zero page.
+    if (page_no >> (kRootBits + kLeafBits) != 0)
+        return nullptr;
     const Leaf *leaf =
         root_[page_no >> kLeafBits].load(std::memory_order_acquire);
     if (!leaf)

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stop_token>
+#include <thread>
 
 #include "sim/json.hh"
 
@@ -150,14 +152,13 @@ VipServer::cacheInsert(std::uint64_t key, std::string response)
     cache_.emplace(key, lru_.begin());
 }
 
-VipServer::PendingPtr
-VipServer::immediate(std::string response, bool is_error)
+void
+VipServer::complete(Pending &p, std::string response, bool is_error)
 {
-    auto p = std::make_shared<Pending>();
-    p->response = std::move(response);
-    p->done = true;
-    p->isError = is_error;
-    return p;
+    p.response = std::move(response);
+    p.isError = is_error;
+    p.done = true;
+    cv_.notify_all();
 }
 
 std::size_t
@@ -174,8 +175,8 @@ VipServer::cancelActiveRuns()
     return n;
 }
 
-VipServer::PendingPtr
-VipServer::dispatchRun(const Json &spec_json)
+void
+VipServer::dispatchRun(const Json &spec_json, const PendingPtr &p)
 {
     RunSpec spec = RunSpec::fromJson(spec_json);
     const std::uint64_t key = spec.fingerprint();
@@ -198,7 +199,8 @@ VipServer::dispatchRun(const Json &spec_json)
             // byte-identical to the miss that populated it. Whether
             // a request hit is observable through the stats command,
             // never through the response body.
-            return immediate(*cached, false);
+            complete(*p, *cached, false);
+            return;
         }
         const std::size_t bound =
             opts_.maxQueuedRuns ? opts_.maxQueuedRuns
@@ -208,14 +210,15 @@ VipServer::dispatchRun(const Json &spec_json)
             // daemon answers immediately and its memory stays
             // bounded. The client retries later.
             ++shed_;
-            return immediate(
-                errorResponse(SimError(
-                    "overloaded",
-                    "daemon at capacity (" +
-                        std::to_string(inFlight_) +
-                        " runs in flight, bound " +
-                        std::to_string(bound) + "); retry later")),
-                true);
+            complete(*p,
+                     errorResponse(SimError(
+                         "overloaded",
+                         "daemon at capacity (" +
+                             std::to_string(inFlight_) +
+                             " runs in flight, bound " +
+                             std::to_string(bound) + "); retry later")),
+                     true);
+            return;
         }
         ++cacheMisses_;
         ++inFlight_;
@@ -223,7 +226,6 @@ VipServer::dispatchRun(const Json &spec_json)
         active_.emplace(run_id, token);
     }
 
-    auto p = std::make_shared<Pending>();
     // Invocation count across the engine's transient retries; only
     // the worker running this job touches it (retries re-invoke on
     // the same thread, sequentially).
@@ -280,12 +282,8 @@ VipServer::dispatchRun(const Json &spec_json)
             for (const auto &[name, value] : fp)
                 fastpath_[name] += value;
         }
-        p->response = std::move(response);
-        p->isError = is_error;
-        p->done = true;
-        cv_.notify_all();
+        complete(*p, std::move(response), is_error);
     });
-    return p;
 }
 
 std::string
@@ -294,25 +292,19 @@ VipServer::statsResponse()
     Json serve = Json::object();
     Json fp = Json::object();
     fp.set("enabled", opts_.defaultFastPath);
-    {
-        // Counters are bumped under the lock by every connection and
-        // worker; snapshot them the same way.
-        LockGuard lock(mutex_);
-        statGroup_.visit({
-            [&serve, this](const std::string &path, std::uint64_t value,
-                           const std::string &) {
-                // Strip the "serve." prefix: the section name is the
-                // response's top-level key.
-                serve.set(path.substr(statGroup_.name().size() + 1),
-                          value);
-            },
-            nullptr,
-        });
-        serve.set("cacheEntries", cache_.size());
-        serve.set("inFlight", inFlight_);
-        for (const auto &[name, value] : fastpath_)
-            fp.set(name, value);
-    }
+    statGroup_.visit({
+        [&serve, this](const std::string &path, std::uint64_t value,
+                       const std::string &) {
+            // Strip the "serve." prefix: the section name is the
+            // response's top-level key.
+            serve.set(path.substr(statGroup_.name().size() + 1), value);
+        },
+        nullptr,
+    });
+    serve.set("cacheEntries", cache_.size());
+    serve.set("inFlight", inFlight_);
+    for (const auto &[name, value] : fastpath_)
+        fp.set(name, value);
     serve.set("retries", engine_.retries());
     serve.set("cacheCapacity", opts_.cacheEntries);
     serve.set("jobs", engine_.jobs());
@@ -322,9 +314,12 @@ VipServer::statsResponse()
     return body.str();
 }
 
-VipServer::PendingPtr
-VipServer::dispatch(const std::string &line, bool *shutdown)
+bool
+VipServer::dispatch(const std::string &line, const PendingPtr &p,
+                    bool *shutdown)
 {
+    std::string response;
+    bool is_error = false;
     try {
         const Json req = Json::parse(line);
         if (const Json *spec_json = req.find("run")) {
@@ -332,7 +327,8 @@ VipServer::dispatch(const std::string &line, bool *shutdown)
                 throw ConfigError(
                     "a run request must contain only the \"run\" key");
             }
-            return dispatchRun(*spec_json);
+            dispatchRun(*spec_json, p);
+            return true;
         }
         if (const Json *cmd = req.find("cmd")) {
             if (req.size() != 1) {
@@ -341,80 +337,79 @@ VipServer::dispatch(const std::string &line, bool *shutdown)
                     "key");
             }
             const std::string &name = cmd->asString();
-            if (name == "stats") {
-                // Barrier: this connection's in-flight runs must land
-                // in the counters (and the cache) before the report.
-                return nullptr;  // handled by caller after drain
-            }
+            if (name == "stats")
+                return false;  // answered by the caller's barrier
+            Json body = Json::object();
             if (name == "cancel") {
-                const std::size_t n = cancelActiveRuns();
-                Json body = Json::object();
                 body.set("cancelled",
-                         static_cast<std::uint64_t>(n));
-                body.set("ok", true);
-                return immediate(body.str(), false);
-            }
-            if (name == "shutdown") {
+                         static_cast<std::uint64_t>(cancelActiveRuns()));
+            } else if (name == "shutdown") {
                 *shutdown = true;
                 shutdownRequested_.store(true,
                                          std::memory_order_release);
-                Json body = Json::object();
-                body.set("ok", true);
-                return immediate(body.str(), false);
+            } else {
+                throw ConfigError("unknown command \"" + name + "\"");
             }
-            throw ConfigError("unknown command \"" + name + "\"");
+            body.set("ok", true);
+            response = body.str();
+        } else {
+            throw ConfigError("request must be {\"run\": {...}} or "
+                              "{\"cmd\": \"...\"}");
         }
-        throw ConfigError(
-            "request must be {\"run\": {...}} or {\"cmd\": \"...\"}");
     } catch (const SimError &e) {
-        return immediate(errorResponse(e), true);
+        response = errorResponse(e);
+        is_error = true;
     } catch (const std::exception &e) {
-        return immediate(errorResponse(SimError("exception", e.what())),
-                         true);
+        response = errorResponse(SimError("exception", e.what()));
+        is_error = true;
     }
-}
-
-void
-VipServer::emitReady(std::deque<PendingPtr> &window, std::ostream &out)
-{
     LockGuard lock(mutex_);
-    while (!window.empty() && window.front()->done) {
-        const PendingPtr p = window.front();
-        window.pop_front();
-        if (p->isError)
-            ++errors_;
-        lock.unlock();
-        out << p->response << '\n' << std::flush;
-        // Journal the response after the client had its chance to see
-        // it; a completed entry answers resumes byte-identically.
-        if (p->journaled && journal_)
-            journal_->appendResponse(p->seq, p->response);
-        lock.lock();
-    }
-}
-
-void
-VipServer::drain(std::deque<PendingPtr> &window, std::ostream &out)
-{
-    LockGuard lock(mutex_);
-    while (!window.empty()) {
-        const PendingPtr head = window.front();
-        cv_.wait(lock, [&head] { return head->done; });
-        window.pop_front();
-        if (head->isError)
-            ++errors_;
-        lock.unlock();
-        out << head->response << '\n' << std::flush;
-        if (head->journaled && journal_)
-            journal_->appendResponse(head->seq, head->response);
-        lock.lock();
-    }
+    complete(*p, std::move(response), is_error);
+    return true;
 }
 
 void
 VipServer::serve(std::istream &in, std::ostream &out)
 {
+    // The connection's in-order response window and the writer's
+    // failure flag, guarded by mutex_.
     std::deque<PendingPtr> window;
+    bool out_failed = false;  // a write failed: the client vanished
+
+    // The one writer of `out`: the window's head leaves as soon as it
+    // is answered. Leaving this scope by any path requests the stop
+    // and joins, and the writer first empties the window.
+    std::jthread writer([&](const std::stop_token &stop) {
+        // Declared before `lock`, so destroyed after it: the wake's
+        // destructor may wait for a wake running on the reader thread.
+        const std::stop_callback wake(stop, [this] {
+            LockGuard lock(mutex_);
+            cv_.notify_all();
+        });
+        LockGuard lock(mutex_);
+        for (;;) {
+            cv_.wait(lock, [&] {
+                return window.empty() ? stop.stop_requested()
+                                      : window.front()->done;
+            });
+            if (window.empty())
+                return;
+            const PendingPtr p = std::move(window.front());
+            window.pop_front();
+            if (p->isError)
+                ++errors_;
+            lock.unlock();
+            out << p->response << '\n' << std::flush;
+            // Journal the response after the client had its chance to
+            // see it; a completed entry answers resumes byte-identically.
+            if (p->journaled && journal_)
+                journal_->appendResponse(p->seq, p->response);
+            lock.lock();
+            out_failed = out_failed || !out;
+            cv_.notify_all();  // the reader may be waiting for room
+        }
+    });
+
     std::string line;
     bool shutdown = false;
     while (!shutdown) {
@@ -425,56 +420,45 @@ VipServer::serve(std::istream &in, std::ostream &out)
             break;
         if (!overflow && isBlank(line))
             continue;
-        {
-            LockGuard lock(mutex_);
-            ++requests_;
-        }
-        std::uint64_t seq = 0;
-        bool journaled = false;
-        PendingPtr p;
-        if (overflow) {
-            // Oversized lines are answered but never journaled or
-            // dispatched: the stored prefix is not the request.
-            p = immediate(
-                errorResponse(SimError(
-                    "protocol",
-                    "request line exceeds " +
-                        std::to_string(opts_.maxLineBytes) + " bytes")),
-                true);
-        } else {
+        // Oversized lines are answered but never journaled or
+        // dispatched: the stored prefix is not the request.
+        const auto p = std::make_shared<Pending>();
+        if (!overflow && journal_) {
             // Write-ahead: the request is journaled before anything
             // can run, so a crash can lose at most responses, never
             // the knowledge that a request was accepted.
-            if (journal_) {
-                seq = journal_->appendRequest(line);
-                journaled = true;
-            }
-            p = dispatch(line, &shutdown);
-            if (!p) {
-                // Stats command: everything this connection has in
-                // flight must complete and be counted first.
-                drain(window, out);
-                p = immediate(statsResponse(), false);
+            p->seq = journal_->appendRequest(line);
+            p->journaled = true;
+        }
+        LockGuard lock(mutex_);
+        ++requests_;
+        window.push_back(p);
+        if (overflow) {
+            complete(*p,
+                     errorResponse(SimError(
+                         "protocol",
+                         "request line exceeds " +
+                             std::to_string(opts_.maxLineBytes) + " bytes")),
+                     true);
+        } else {
+            lock.unlock();
+            const bool stats = !dispatch(line, p, &shutdown);
+            lock.lock();
+            if (stats) {
+                // Barrier: this connection's earlier runs must land in
+                // the counters (and the cache) before the report.
+                cv_.wait(lock, [&window, &p] { return window.front() == p; });
+                complete(*p, statsResponse(), false);
             }
         }
-        p->seq = seq;
-        p->journaled = journaled;
-        window.push_back(std::move(p));
-        emitReady(window, out);
-        if (!out)
+        if (out_failed)
             break;  // client vanished; finish in-flight work and return
         // Bound the pipeline: never more than two batches of work
         // queued ahead of the slowest outstanding request.
-        LockGuard lock(mutex_);
-        while (window.size() >= 2 * engine_.jobs() + 1) {
-            const PendingPtr head = window.front();
-            cv_.wait(lock, [&head] { return head->done; });
-            lock.unlock();
-            emitReady(window, out);
-            lock.lock();
-        }
+        cv_.wait(lock, [&window, this] {
+            return window.size() < 2 * engine_.jobs() + 1;
+        });
     }
-    drain(window, out);
 }
 
 } // namespace vip

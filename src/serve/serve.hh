@@ -24,8 +24,8 @@
  *
  * A run may carry "budgetMs": a host wall-clock budget. A run that
  * exceeds it fails with {"error":{"kind":"timeout",...}} and the
- * daemon keeps serving; the budget is excluded from the cache key
- * (it bounds host execution, never results).
+ * daemon keeps serving; the budget, like the fastForward and
+ * fastPath knobs, is excluded from the cache key (RunSpec::fingerprint).
  *
  * Control requests:
  *
@@ -73,17 +73,19 @@
  * ## Concurrency
  *
  * Requests dispatch onto a SweepEngine (one warm Simulation per job,
- * the sweep determinism contract); responses are reordered back into
- * request order by a bounded per-connection window, so a stream of N
- * requests pipelines across the pool while the client still sees
- * responses 1..N in order. With jobs == 1 everything runs inline on
- * the caller's thread — byte-for-byte deterministic, which is what
- * the tests pin. serve() may be called concurrently from several
- * transport threads (one per socket connection): the window is local
- * to each call, and all shared state — cache, counters, journal, the
- * in-flight run registry — is mutex-guarded. Transient host failures
- * (TransientError, std::bad_alloc) are retried with exponential
- * backoff per the retry policy before a run is reported failed.
+ * the sweep determinism contract) and take a slot in a bounded
+ * per-connection window; one writer thread per connection writes
+ * each slot as soon as it and all earlier ones are answered, so N
+ * requests pipeline across the pool while the client sees responses
+ * 1..N in order, each as early as possible. With jobs == 1 runs
+ * execute inline on the reading thread, in request order — the
+ * determinism the tests pin. serve() may be called concurrently from
+ * several transport threads (one per socket connection): the window
+ * is local to each call, and all shared state — cache, counters,
+ * journal, the in-flight run registry — is mutex-guarded. Transient
+ * host failures (TransientError, std::bad_alloc) are retried with
+ * exponential backoff per the retry policy before a run is reported
+ * failed.
  */
 
 #ifndef VIP_SERVE_SERVE_HH
@@ -172,12 +174,14 @@ class VipServer
      * Serve until @p in hits EOF, a shutdown request arrives, or
      * opts.stopRequested returns true. Emits exactly one
      * '\n'-terminated JSON response per request line, in request
-     * order, flushing after each; returns early (after completing
-     * in-flight work) when @p out fails — a vanished client must not
-     * wedge a worker. May be called concurrently from multiple
-     * transport threads; response ordering is per call (the stats
-     * command's drain barrier likewise covers only the calling
-     * connection's window).
+     * order, flushing after each. One writer thread per call owns
+     * @p out and writes each response as soon as it and every earlier
+     * one are answered, without waiting for more input. Returns after
+     * every response is written; stops reading early when @p out
+     * fails — a vanished client must not wedge a worker. May be
+     * called concurrently from multiple transport threads; response
+     * ordering is per call (the stats command's barrier likewise
+     * covers only the calling connection's window).
      */
     void serve(std::istream &in, std::ostream &out);
 
@@ -214,29 +218,32 @@ class VipServer
 
   private:
     /** One request's slot in a connection's in-order response window.
-     *  `response`/`done`/`isError` are written by the completing
-     *  worker (then read by the serving thread after observing `done`
-     *  under mutex_); `seq`/`journaled` are written and read only by
-     *  the serving thread. */
+     *  The reader sets `seq`/`journaled` before dispatch; complete()
+     *  sets the rest once, under mutex_, and the connection's writer
+     *  reads the slot after observing `done` under mutex_. */
     struct Pending
     {
         std::string response;
         bool done = false;
         bool isError = false;
         std::uint64_t seq = 0;    ///< journal sequence number
-        bool journaled = false;   ///< emit appends a journal response
+        bool journaled = false;   ///< the writer journals the response
     };
     using PendingPtr = std::shared_ptr<Pending>;
 
-    /** Dispatch one parsed request line; returns the slot to emit. */
-    PendingPtr dispatch(const std::string &line, bool *shutdown);
+    /** Answer one request line into @p p, now or from a worker;
+     *  false for the stats command, answered after the caller's
+     *  barrier. */
+    bool dispatch(const std::string &line, const PendingPtr &p,
+                  bool *shutdown);
 
     /** Schedule a run request (cache lookup, admission check, or
      *  worker execution). */
-    PendingPtr dispatchRun(const Json &spec_json);
+    void dispatchRun(const Json &spec_json, const PendingPtr &p);
 
-    /** A slot completed immediately on the serving thread. */
-    PendingPtr immediate(std::string response, bool is_error);
+    /** Mark @p p answered and wake its connection's writer. */
+    void complete(Pending &p, std::string response, bool is_error)
+        VIP_REQUIRES(mutex_);
 
     /** Locked read of one counter (bumps happen under mutex_). */
     std::uint64_t
@@ -246,18 +253,12 @@ class VipServer
         return c.value();
     }
 
-    std::string statsResponse();
+    std::string statsResponse() VIP_REQUIRES(mutex_);
 
     /** LRU lookup; touches the entry. Null when absent. */
     const std::string *cacheFind(std::uint64_t key) VIP_REQUIRES(mutex_);
     void cacheInsert(std::uint64_t key, std::string response)
         VIP_REQUIRES(mutex_);
-
-    /** Emit (and journal) every completed slot at @p window's head. */
-    void emitReady(std::deque<PendingPtr> &window, std::ostream &out);
-
-    /** Block until the whole @p window has been emitted. */
-    void drain(std::deque<PendingPtr> &window, std::ostream &out);
 
     ServeOptions opts_;
     std::atomic<bool> shutdownRequested_{false};

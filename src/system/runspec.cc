@@ -136,12 +136,18 @@ RunSpec::fromJson(const Json &j)
 std::uint64_t
 RunSpec::fingerprint() const
 {
-    if (budgetMs != 0) {
-        // The budget bounds host execution, not results: hash as if
-        // unbudgeted so a cached success answers any budget.
-        RunSpec unbudgeted = *this;
-        unbudgeted.budgetMs = 0;
-        return fnv1a(unbudgeted.toJson().str());
+    // The budget, fast-forward and the µop fast path bound or speed up
+    // host execution, never results: hash as if each were at its
+    // default (0, on, on), so a cached success answers every setting
+    // and default-knob keys stay what they were. Islands stay keyed:
+    // under fault campaigns they may diverge (docs/INTERNALS.md,
+    // "Documented divergences").
+    if (budgetMs != 0 || !config.fastForward || !config.fastPath) {
+        RunSpec host_default = *this;
+        host_default.budgetMs = 0;
+        host_default.config.fastForward = true;
+        host_default.config.fastPath = true;
+        return fnv1a(host_default.toJson().str());
     }
     return fnv1a(toJson().str());
 }
@@ -159,14 +165,24 @@ buildSimulation(const RunSpec &spec)
                               " B run past DRAM capacity");
         sim->pokeDram(p.addr, p.values);
     }
+    const unsigned num_pes = sim->system().numPes();
+    auto check_pe = [num_pes](const char *field, unsigned pe) {
+        if (pe >= num_pes)
+            throw ConfigError(std::string(field) + " = " +
+                              std::to_string(pe) + "; the machine has " +
+                              std::to_string(num_pes) + " PEs");
+    };
     for (const RunSpec::RegSet &r : spec.regs) {
+        check_pe("regs[].pe", r.pe);
         if (r.reg >= kNumScalarRegs)
             throw ConfigError("regs[].reg = " + std::to_string(r.reg) +
                               "; registers are r0..r63");
         sim->setReg(r.pe, r.reg, r.value);
     }
-    for (const RunSpec::Program &p : spec.programs)
+    for (const RunSpec::Program &p : spec.programs) {
+        check_pe("programs[].pe", p.pe);
         sim->loadProgram(p.pe, p.source);
+    }
     return sim;
 }
 

@@ -113,9 +113,11 @@ struct RunSpec
     /**
      * Content-address of this spec (FNV-1a over the canonical compact
      * JSON): equal fingerprints => equal specs => equal run output.
-     * budgetMs is excluded (hashed as if 0): it bounds host
+     * budgetMs, config.fastForward and config.fastPath are excluded
+     * (hashed as if 0, on, on): they bound or speed up host
      * execution, not results, so a cached success answers the same
-     * spec under any budget.
+     * spec under any of them. config.islands stays keyed (fault
+     * campaigns may diverge across island counts).
      */
     std::uint64_t fingerprint() const;
 

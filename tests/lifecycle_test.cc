@@ -252,6 +252,39 @@ TEST(Budget, ExcludedFromFingerprintButNotEquality)
     EXPECT_EQ(plain.toJson().find("budgetMs"), nullptr);
 }
 
+TEST(HostKnobs, ExcludedFromFingerprintButNotEquality)
+{
+    // Fast-forward and the µop fast path are bit-identical host knobs
+    // (the equivalence matrix pins them), so like the budget they are
+    // hashed at their defaults — and a default spec's key is the one
+    // journals already carry.
+    const RunSpec plain = dotSpec();
+    RunSpec no_ff = dotSpec();
+    no_ff.config.fastForward = false;
+    RunSpec no_fp = dotSpec();
+    no_fp.config.fastPath = false;
+    RunSpec neither = no_ff;
+    neither.config.fastPath = false;
+    for (const RunSpec *knob : {&no_ff, &no_fp, &neither}) {
+        EXPECT_EQ(knob->fingerprint(), plain.fingerprint());
+        EXPECT_FALSE(*knob == plain);
+    }
+    const RunSpec bare = RunSpec::fromJson(
+        Json::parse(R"({"programs":[{"pe":0,"source":"halt\n"}]})"));
+    EXPECT_EQ(bare.fingerprint(), 0xa04a8c309a2cc7f2u);
+
+    // One cache entry answers every knob setting byte-identically.
+    VipServer server;
+    const auto responses = serveLines(
+        server, runRequestLine(plain) + runRequestLine(no_ff) +
+                    runRequestLine(no_fp) + runRequestLine(neither));
+    ASSERT_EQ(responses.size(), 4u);
+    for (const std::string &r : responses)
+        EXPECT_EQ(r, responses[0]);
+    EXPECT_EQ(server.cacheMisses(), 1u);
+    EXPECT_EQ(server.cacheHits(), 3u);
+}
+
 // ---- Serve: budgets, cancel command, admission, abuse ---------------
 
 TEST(ServeLifecycle, TimeoutIsStructuredAndDaemonKeepsServing)

@@ -13,6 +13,7 @@
 #include "mem/hmc.hh"
 #include "mem/storage.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 
 namespace vip {
 namespace {
@@ -92,6 +93,18 @@ TEST(Storage, ZeroFilledAndSparse)
     storage.store<std::uint32_t>(1 << 30, 0xdeadbeef);
     EXPECT_EQ(storage.load<std::uint32_t>(1 << 30), 0xdeadbeefu);
     EXPECT_EQ(storage.touchedPages(), 1u);
+}
+
+TEST(Storage, ReadPastTheRadixSpanIsZero)
+{
+    // Nothing can be written past the 64 GiB span, so a host read
+    // there sees an untouched zero page instead of indexing past the
+    // radix root.
+    DramStorage storage;
+    EXPECT_EQ(storage.load<std::uint64_t>(Addr{1} << 63), 0u);
+    EXPECT_EQ(storage.touchedPages(), 0u);
+    const Simulation sim(makeSystemConfig(1, 1));
+    EXPECT_EQ(sim.peekDram(0x8000000000000000), 0);
 }
 
 TEST(Storage, CrossPageTransfers)

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/serve.hh"
@@ -176,6 +180,88 @@ TEST(SystemConfig, FromJsonDerivesNocGridFromVaults)
                  ConfigError);
 }
 
+/// The output side of a closed-loop client: collects the response
+/// bytes and flags the first complete line.
+class ResponseSink : public std::streambuf
+{
+  public:
+    std::string text;
+    std::atomic<bool> answered{false};
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        text.push_back(traits_type::to_char_type(c));
+        if (c == '\n')
+            answered.store(true, std::memory_order_release);
+        return c;
+    }
+};
+
+/// The input side of a closed-loop client: one request, then a stream
+/// that stays open until the response arrives — or 10 s pass, so a
+/// server that waits for more input fails instead of hanging — and
+/// only then reports EOF.
+class HeldOpenRequest : public std::streambuf
+{
+  public:
+    HeldOpenRequest(std::string request, const std::atomic<bool> &answered)
+        : request_(std::move(request)), answered_(answered)
+    {}
+
+    /// Had the response arrived by the time the stream closed?
+    bool answeredWhileOpen = false;
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (!sent_) {
+            sent_ = true;
+            setg(request_.data(), request_.data(),
+                 request_.data() + request_.size());
+            return traits_type::to_int_type(request_[0]);
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!answered_.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        answeredWhileOpen = answered_.load(std::memory_order_acquire);
+        return traits_type::eof();
+    }
+
+  private:
+    std::string request_;
+    const std::atomic<bool> &answered_;
+    bool sent_ = false;
+};
+
+TEST(VipServer, PooledResponseIsWrittenWithoutFurtherInput)
+{
+    // A closed-loop client sends one request to a pooled daemon and
+    // waits for the answer before it sends anything else: the response
+    // must leave when the run finishes, not when more input arrives.
+    ServeOptions opts;
+    opts.jobs = 2;
+    VipServer server(opts);
+    Json req = Json::object();
+    req.set("run", dotSpec().toJson());
+
+    ResponseSink sink;
+    HeldOpenRequest source(req.str() + "\n", sink.answered);
+    std::istream in(&source);
+    std::ostream out(&sink);
+    server.serve(in, out);
+
+    EXPECT_TRUE(source.answeredWhileOpen);
+    const std::vector<std::string> rsp = lines(sink.text);
+    ASSERT_EQ(rsp.size(), 1u);
+    EXPECT_TRUE(
+        Json::parse(rsp[0]).at("result").at("haltedCleanly").asBool());
+}
+
 TEST(VipServer, CacheHitIsByteIdenticalAndCounted)
 {
     Json req = Json::object();
@@ -230,6 +316,11 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     bad_poke_spec.pokes.push_back({Addr{1} << 63, {1}});
     Json bad_poke = Json::object();
     bad_poke.set("run", bad_poke_spec.toJson());
+    // And a PE the machine does not have, for a program and a register.
+    const std::string bad_program_pe =
+        R"({"run":{"programs":[{"pe":9,"source":"halt\n"}]}})";
+    const std::string bad_reg_pe =
+        R"({"run":{"regs":[{"pe":9,"reg":1,"value":1}]}})";
 
     const std::string requests =
         "this is not json\n" +        // parse failure
@@ -237,6 +328,8 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
         std::string("{\"cmd\": \"no-such-command\"}\n") +
         bad_reg.str() + "\n" +        // ConfigError, not an abort
         bad_poke.str() + "\n" +       // likewise
+        bad_program_pe + "\n" +       // likewise
+        bad_reg_pe + "\n" +           // likewise
         req.str() + "\n";             // still served after all that
 
     VipServer server;
@@ -245,7 +338,7 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     server.serve(in, out);
 
     const std::vector<std::string> rsp = lines(out.str());
-    ASSERT_EQ(rsp.size(), 6u);
+    ASSERT_EQ(rsp.size(), 8u);
     EXPECT_EQ(Json::parse(rsp[0]).at("error").at("kind").asString(),
               "json");
     EXPECT_EQ(Json::parse(rsp[1]).at("error").at("kind").asString(),
@@ -259,7 +352,9 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     EXPECT_EQ(Json::parse(rsp[2]).at("error").at("kind").asString(),
               "config");
     for (const auto &[i, field] :
-         {std::pair{3, "regs[].reg"}, std::pair{4, "pokes[].addr"}}) {
+         {std::pair{3, "regs[].reg"}, std::pair{4, "pokes[].addr"},
+          std::pair{5, "programs[].pe = 9; the machine has"},
+          std::pair{6, "regs[].pe = 9; the machine has"}}) {
         const Json doc = Json::parse(rsp[i]);
         const Json &err = doc.at("error");
         EXPECT_EQ(err.at("kind").asString(), "config");
@@ -268,14 +363,14 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
             << rsp[i];
     }
     // The loop survived and the valid request still ran.
-    EXPECT_TRUE(Json::parse(rsp[5])
+    EXPECT_TRUE(Json::parse(rsp[7])
                     .at("result")
                     .at("haltedCleanly")
                     .asBool());
-    EXPECT_EQ(server.errors(), 5u);
-    // The two out-of-machine specs parse, miss the cache and fail when
+    EXPECT_EQ(server.errors(), 7u);
+    // The four out-of-machine specs parse, miss the cache and fail when
     // the simulation is built.
-    EXPECT_EQ(server.cacheMisses(), 3u);
+    EXPECT_EQ(server.cacheMisses(), 5u);
 }
 
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)

@@ -382,6 +382,8 @@ main(int argc, char **argv)
     try {
         VipServer server(opts);
         if (useStdin) {
+            // serve() writes from its own thread: reads must not flush.
+            std::cin.tie(nullptr);
             server.serve(std::cin, std::cout);
             if (g_signal != 0) {
                 std::fprintf(stderr,
