@@ -24,7 +24,7 @@ namespace vip {
 namespace {
 
 /** The host knobs parseBenchOptions read (--no-fast-forward,
- *  --no-fast-path, --islands); benchConfig() applies them. */
+ *  --islands); benchConfig() applies them. */
 cli::CommonOptions g_host;
 
 } // namespace
@@ -32,8 +32,8 @@ cli::CommonOptions g_host;
 BenchOptions
 parseBenchOptions(int argc, char **argv, double default_frac)
 {
-    constexpr unsigned kFlags = cli::kJobs | cli::kFastForward |
-                                cli::kIslands | cli::kFastPath;
+    constexpr unsigned kFlags =
+        cli::kJobs | cli::kFastForward | cli::kIslands;
     BenchOptions opts;
     opts.frac = default_frac;
     cli::CommonOptions common;
@@ -126,7 +126,6 @@ benchConfig(unsigned vaults, const MemKnobs &knobs = {})
 {
     SystemConfig cfg = makeSystemConfig(vaults, 4);
     cfg.fastForward = g_host.fastForward;
-    cfg.fastPath = g_host.fastPath;
     cfg.islands = std::gcd(g_host.islands, cfg.nocX);
     applyKnobs(cfg.mem, knobs);
     return cfg;

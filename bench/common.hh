@@ -73,10 +73,9 @@ struct BenchOptions
 };
 
 /**
- * Parse `[FRAC] [--jobs N] [--islands N] [--no-fast-forward]
- * [--no-fast-path]`; exits with usage on bad arguments.
- * `--no-fast-forward`, `--no-fast-path`, and `--islands` apply
- * globally: every subsequent run* helper builds its systems with
+ * Parse `[FRAC] [--jobs N] [--islands N] [--no-fast-forward]`; exits
+ * with usage on bad arguments. `--no-fast-forward` and `--islands`
+ * apply globally: every subsequent run* helper builds its systems with
  * those execution-strategy settings, the island count clamped to
  * gcd(islands, nocX) (so single-vault benches stay serial while the
  * 32-vault ones split into column bands). Results are identical

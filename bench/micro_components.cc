@@ -19,17 +19,11 @@
 #include "mem/hmc.hh"
 #include "noc/torus.hh"
 #include "sim/rng.hh"
-#include "tools/cli.hh"
 #include "workloads/mrf.hh"
 #include "workloads/nn.hh"
 
 namespace vip {
 namespace {
-
-/** Set by --no-fast-path (consumed by main() before google-benchmark
- *  sees argv); every simulated-machine bench below applies it, so the
- *  same binary measures the interpreter and the µop replay. */
-bool g_fast_path = true;
 
 void
 BM_AssembleBpFragment(benchmark::State &state)
@@ -129,12 +123,14 @@ void
 BM_PeScalarLoop(benchmark::State &state)
 {
     // Simulation rate of a PE running a tight scalar loop — the
-    // decoded-µop fast path's headline bench (run with --no-fast-path
-    // for the interpreter baseline; cycles are bit-identical).
+    // decoded-µop fast path's headline bench. Arg(1) replays decoded
+    // µops in bulk, Arg(0) is the interpreter oracle; cycles are
+    // bit-identical.
+    const bool ff = state.range(0) != 0;
     for (auto _ : state) {
         state.PauseTiming();
         SystemConfig cfg = makeSystemConfig(1, 1);
-        cfg.fastPath = g_fast_path;
+        cfg.fastForward = ff;
         VipSystem sys(cfg);
         AsmBuilder b;
         b.movImm(1, 0);
@@ -150,16 +146,18 @@ BM_PeScalarLoop(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 20000);
 }
-BENCHMARK(BM_PeScalarLoop);
+BENCHMARK(BM_PeScalarLoop)->Arg(0)->Arg(1);
 
 void
 BM_SimulatedBpSweep(benchmark::State &state)
 {
-    // End-to-end simulation cost of one generated BP sweep.
+    // End-to-end simulation cost of one generated BP sweep on the
+    // oracle (Arg(0)) and the fast machine (Arg(1)).
+    const bool ff = state.range(0) != 0;
     for (auto _ : state) {
         state.PauseTiming();
         SystemConfig cfg = makeSystemConfig(1, 4);
-        cfg.fastPath = g_fast_path;
+        cfg.fastForward = ff;
         VipSystem sys(cfg);
         MrfDramLayout layout(sys.vaultBase(0), 32, 16, 8);
         for (unsigned pe = 0; pe < 4; ++pe) {
@@ -172,16 +170,16 @@ BM_SimulatedBpSweep(benchmark::State &state)
         benchmark::DoNotOptimize(sys.run());
     }
 }
-BENCHMARK(BM_SimulatedBpSweep);
+BENCHMARK(BM_SimulatedBpSweep)->Arg(0)->Arg(1);
 
 void
 BM_FastForwardStreamCopy(benchmark::State &state)
 {
     // Memory-bound tile: one PE copies DRAM through the scratchpad
     // with a fence per chunk, so it spends most cycles stalled on the
-    // round trip. Arg(1) warps over those dead cycles, Arg(0) ticks
-    // through them; the machines are cycle-identical, so the runtime
-    // gap is the event-horizon fast-forward win. `skip_ratio` reports
+    // round trip. Arg(1) warps over those dead cycles, Arg(0) (the
+    // oracle) ticks through them; the machines are cycle-identical,
+    // so the runtime gap is the fast machine's win. `skip_ratio` reports
     // the fraction of simulated cycles that were warped over.
     const bool ff = state.range(0) != 0;
     Cycles simulated = 0;
@@ -190,7 +188,6 @@ BM_FastForwardStreamCopy(benchmark::State &state)
         state.PauseTiming();
         SystemConfig cfg = makeSystemConfig(1, 1);
         cfg.fastForward = ff;
-        cfg.fastPath = g_fast_path;
         VipSystem sys(cfg);
         AsmBuilder b;
         const Addr src = sys.vaultBase(0);
@@ -241,7 +238,6 @@ BM_IslandStreamCopy(benchmark::State &state)
         state.PauseTiming();
         SystemConfig cfg = makeSystemConfig(16, 1);
         cfg.islands = islands;
-        cfg.fastPath = g_fast_path;
         VipSystem sys(cfg);
         for (unsigned v = 0; v < 16; ++v) {
             AsmBuilder b;
@@ -315,27 +311,4 @@ BENCHMARK(BM_ReferenceConvLayer);
 } // namespace
 } // namespace vip
 
-int
-main(int argc, char **argv)
-{
-    // Peel off the shared simulator flags before google-benchmark
-    // parses argv (it rejects flags it doesn't know).
-    vip::cli::CommonOptions common;
-    int kept = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (vip::cli::consumeCommon(argc, argv, i, vip::cli::kFastPath,
-                                    common))
-            continue;
-        argv[kept++] = argv[i];
-    }
-    argc = kept;
-    argv[argc] = nullptr;
-    vip::g_fast_path = common.fastPath;
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -116,7 +116,7 @@ Pe::loadProgram(std::vector<Instruction> prog)
                prog.size(), " instructions exceeds the instruction buffer");
     prog_ = std::move(prog);
     decoded_.clear();
-    if (cfg_.fastPath) {
+    if (cfg_.fastForward) {
         decoded_ = translateProgram(prog_);
         fpStats_.uopsTranslated += decoded_.uops.size();
         fpStats_.blocksTranslated += decoded_.entryPoints;
@@ -831,7 +831,8 @@ Pe::tryFastPath(Cycles now, Cycles horizon)
 void
 Pe::tick(Cycles now, Cycles horizon)
 {
-    if (wakeGate_ && stallCounter_ != nullptr && now < stallWakeAt_) {
+    if (cfg_.fastForward && stallCounter_ != nullptr &&
+        now < stallWakeAt_) {
         // Wake gate: the stall recorded at the last tick cannot break
         // before stallWakeAt_ unless an input edge re-arms it, so this
         // tick is exactly fastForward(now, now + 1).
@@ -861,7 +862,7 @@ Pe::tick(Cycles now, Cycles horizon)
     if (pc_ >= prog_.size())
         programFault("PC ran off the end of the program");
 
-    if (cfg_.fastPath) {
+    if (cfg_.fastForward) {
         if (tryFastPath(now, horizon))
             return;
         issueUop(decoded_.uops[pc_], now);

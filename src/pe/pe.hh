@@ -73,13 +73,17 @@ struct PeConfig
     bool arcCoversVector = false;
 
     /**
-     * Replay the decoded-µop stream and execute stall-free basic
-     * blocks functionally in bulk (see decode.hh). A host-speed knob
-     * only — results are bit-identical either way — so it is not part
-     * of the serialized PE-config JSON. False keeps the per-cycle
-     * interpreter as the oracle.
+     * SystemConfig::fastForward, copied in by VipSystem. On: wake-gate
+     * stalled ticks (a tick inside a stall with a known wake cycle
+     * charges the stall counter and returns without re-trying issue;
+     * see sim/clocked.hh) and replay the decoded-µop stream, executing
+     * stall-free basic blocks functionally in bulk (see decode.hh).
+     * Off: the oracle, which re-tries issue and re-interprets the
+     * instruction at the PC every tick. A host-speed knob only —
+     * results are bit-identical either way — so it is not part of the
+     * serialized PE-config JSON.
      */
-    bool fastPath = true;
+    bool fastForward = true;
 };
 
 /** How the PE hands memory transactions to the system. */
@@ -132,13 +136,6 @@ class Pe
      * change inside a warp window, so the same counter is charged.
      */
     void fastForward(Cycles from, Cycles to);
-
-    /**
-     * Wake-gate this PE's ticks (on only with fast-forward; see
-     * sim/clocked.hh): a tick inside a stall with a known wake cycle
-     * charges the stall counter and returns without re-trying issue.
-     */
-    void setWakeGate(bool on) { wakeGate_ = on; }
 
     bool halted() const { return halted_; }
 
@@ -231,7 +228,7 @@ class Pe
   private:
     // --- issue helpers; each returns true when the µop issued.
     // All issue-path semantics take pre-decoded Uops; the oracle mode
-    // (fastPath off) re-translates the Instruction at the PC every
+    // (fastForward off) re-translates the Instruction at the PC every
     // tick, so both modes execute the one and only semantic path.
     bool issueUop(const Uop &u, Cycles now);
     bool issueScalar(const Uop &u, Cycles now);
@@ -321,7 +318,7 @@ class Pe
     MemIssueFn memIssue_;
 
     std::vector<Instruction> prog_;
-    DecodedProgram decoded_; ///< µop stream + block table (fastPath)
+    DecodedProgram decoded_; ///< µop stream + block table (fastForward)
     std::size_t pc_ = 0;
     bool halted_ = true;
 
@@ -371,7 +368,6 @@ class Pe
      *  (re-armed) by the input edges that can end a stall early. */
     Counter *stallCounter_ = nullptr;
     Cycles stallWakeAt_ = 0;
-    bool wakeGate_ = false;
 
     StatGroup statGroup_;
     Stats stats_;

@@ -180,14 +180,12 @@ VipServer::dispatchRun(const Json &spec_json, const PendingPtr &p)
 {
     RunSpec spec = RunSpec::fromJson(spec_json);
     const std::uint64_t key = spec.fingerprint();
-    // Host execution defaults, applied after fingerprinting: island
-    // count and the µop fast path never change the result bytes,
-    // only how they are computed. A key the request sets wins.
+    // The host execution default, applied after fingerprinting: the
+    // island count never changes the result bytes, only how they are
+    // computed. An island count the request sets wins.
     const Json *cfg = spec_json.find("config");
     if (!cfg || !cfg->find("islands"))
         spec.config.islands = opts_.defaultIslands;
-    if (!cfg || !cfg->find("fastPath"))
-        spec.config.fastPath = opts_.defaultFastPath;
 
     auto token = std::make_shared<CancelToken>();
     std::uint64_t run_id = 0;
@@ -290,8 +288,6 @@ std::string
 VipServer::statsResponse()
 {
     Json serve = Json::object();
-    Json fp = Json::object();
-    fp.set("enabled", opts_.defaultFastPath);
     statGroup_.visit({
         [&serve, this](const std::string &path, std::uint64_t value,
                        const std::string &) {
@@ -303,11 +299,12 @@ VipServer::statsResponse()
     });
     serve.set("cacheEntries", cache_.size());
     serve.set("inFlight", inFlight_);
-    for (const auto &[name, value] : fastpath_)
-        fp.set(name, value);
     serve.set("retries", engine_.retries());
     serve.set("cacheCapacity", opts_.cacheEntries);
     serve.set("jobs", engine_.jobs());
+    Json fp = Json::object();
+    for (const auto &[name, value] : fastpath_)
+        fp.set(name, value);
     serve.set("fastpath", std::move(fp));
     Json body = Json::object();
     body.set("serve", std::move(serve));

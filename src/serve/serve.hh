@@ -24,8 +24,8 @@
  *
  * A run may carry "budgetMs": a host wall-clock budget. A run that
  * exceeds it fails with {"error":{"kind":"timeout",...}} and the
- * daemon keeps serving; the budget, like the fastForward and
- * fastPath knobs, is excluded from the cache key (RunSpec::fingerprint).
+ * daemon keeps serving; the budget, like the fastForward knob, is
+ * excluded from the cache key (RunSpec::fingerprint).
  *
  * Control requests:
  *
@@ -130,15 +130,6 @@ struct ServeOptions
      * cached response stays valid across default changes.
      */
     unsigned defaultIslands = 1;
-
-    /**
-     * Fast-path default for run requests whose config omits
-     * "fastPath". The same host-side knob shape as
-     * defaultIslands: the decoded-µop replay is bit-identical to the
-     * interpreter, so the cache key is computed before this default
-     * is applied and cached responses stay valid across it.
-     */
-    bool defaultFastPath = true;
 
     /** Longest accepted request line; longer lines are consumed and
      *  answered with {"error":{"kind":"protocol"}} — a runaway client

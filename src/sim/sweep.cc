@@ -66,10 +66,9 @@ SweepEngine::runJob(const Job &job)
     }
     SweepFailure failure;
     failure.index = job.index;
-    std::exception_ptr eptr;
     for (unsigned attempt = 0;; ++attempt) {
         failure.attempts = attempt + 1;
-        eptr = nullptr;
+        failure.error = nullptr;
         bool transient = false;
         try {
             job.fn();
@@ -77,42 +76,41 @@ SweepEngine::runJob(const Job &job)
             // A host-level hiccup the policy may retry; the job
             // rebuilds its simulation from the spec, so a retried
             // success is byte-identical to a first-try one.
-            eptr = std::current_exception();
+            failure.error = std::current_exception();
             failure.kind = e.kind();
             failure.message = e.message();
             failure.detail = e.detail();
             transient = true;
         } catch (const std::bad_alloc &e) {
-            eptr = std::current_exception();
+            failure.error = std::current_exception();
             failure.kind = "transient";
             failure.message = e.what();
             transient = true;
         } catch (const SimError &e) {
             // Deterministic simulation failure: retrying would recur
             // identically. Fail fast.
-            eptr = std::current_exception();
+            failure.error = std::current_exception();
             failure.kind = e.kind();
             failure.message = e.message();
             failure.detail = e.detail();
         } catch (const std::exception &e) {
-            eptr = std::current_exception();
+            failure.error = std::current_exception();
             failure.kind = "exception";
             failure.message = e.what();
         } catch (...) {
-            eptr = std::current_exception();
+            failure.error = std::current_exception();
             failure.kind = "unknown";
             failure.message = "non-exception object thrown";
         }
-        if (!eptr || !transient || attempt >= policy.maxRetries)
+        if (!failure.error || !transient || attempt >= policy.maxRetries)
             break;
         retries_.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(
             std::uint64_t{policy.backoffBaseMs}
             << std::min(attempt, 10u)));
     }
-    if (eptr) {
+    if (failure.error) {
         LockGuard lock(mutex_);
-        errors_.emplace_back(job.index, eptr);
         failures_.push_back(std::move(failure));
     }
     setLogThreadLabel("");
@@ -172,25 +170,11 @@ SweepEngine::submit(std::function<void()> fn)
 void
 SweepEngine::wait()
 {
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
-    {
-        LockGuard lock(mutex_);
-        // Inline mode never has work in flight here, so the wait is
-        // an immediate pass-through.
-        allDone_.wait(lock, [this]() VIP_REQUIRES(mutex_) {
-            return inFlight_ == 0;
-        });
-        errors.swap(errors_);
-        failures_.clear();
-    }
-    if (errors.empty())
-        return;
     // Deterministic error reporting: the lowest submission index wins,
     // no matter which worker hit its exception first.
-    const auto first = std::min_element(
-        errors.begin(), errors.end(),
-        [](const auto &a, const auto &b) { return a.first < b.first; });
-    std::rethrow_exception(first->second);
+    const std::vector<SweepFailure> failures = waitCollect();
+    if (!failures.empty())
+        std::rethrow_exception(failures.front().error);
 }
 
 std::vector<SweepFailure>
@@ -199,11 +183,12 @@ SweepEngine::waitCollect()
     std::vector<SweepFailure> failures;
     {
         LockGuard lock(mutex_);
+        // Inline mode never has work in flight here, so the wait is
+        // an immediate pass-through.
         allDone_.wait(lock, [this]() VIP_REQUIRES(mutex_) {
             return inFlight_ == 0;
         });
         failures.swap(failures_);
-        errors_.clear();
     }
     std::sort(failures.begin(), failures.end(),
               [](const SweepFailure &a, const SweepFailure &b) {

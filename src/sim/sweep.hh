@@ -57,6 +57,7 @@ struct SweepFailure
     std::string detail;     ///< multi-line report (e.g. deadlock
                             ///< diagnosis); empty when there is none
     unsigned attempts = 1;  ///< executions including retries
+    std::exception_ptr error;  ///< what the last attempt threw
 };
 
 /**
@@ -148,9 +149,9 @@ class SweepEngine
 
     /**
      * Block until every job submitted so far has finished and return
-     * the failures (sorted by submission index) instead of throwing —
-     * the isolation primitive: a wedged or misconfigured point reports
-     * itself here while its siblings' results stand.
+     * (and forget) the failures, sorted by submission index, instead
+     * of throwing — the isolation primitive: a wedged or misconfigured
+     * point reports itself here while its siblings' results stand.
      */
     std::vector<SweepFailure> waitCollect();
 
@@ -223,8 +224,8 @@ class SweepEngine
     std::vector<std::thread> workers_;
 
     /** Guards every field below: the queue, the in-flight accounting,
-     *  and the failure captures. Workers and the submitting thread
-     *  meet nowhere else (jobs themselves share nothing by contract). */
+     *  and the failures. Workers and the submitting thread meet
+     *  nowhere else (jobs themselves share nothing by contract). */
     Mutex mutex_;
     CondVar workAvailable_;
     CondVar allDone_;
@@ -235,10 +236,7 @@ class SweepEngine
     RetryPolicy retryPolicy_ VIP_GUARDED_BY(mutex_);
     std::atomic<std::uint64_t> retries_{0};
 
-    /** (submission index, exception) for failed jobs, kept for
-     *  wait()'s rethrow; failures_ carries the structured capture. */
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors_
-        VIP_GUARDED_BY(mutex_);
+    /** Failed jobs since the last wait() or waitCollect(). */
     std::vector<SweepFailure> failures_ VIP_GUARDED_BY(mutex_);
 };
 

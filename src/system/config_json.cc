@@ -177,20 +177,15 @@ SystemConfig::toJson() const
     // stays absent so pre-island RunSpec fingerprints are unchanged.
     if (islands != 1)
         j.set("islands", islands);
-    // Same treatment for the µop fast path: absent when on (the
-    // default), so pre-fast-path fingerprints — and cached serve
-    // responses — stay valid.
-    if (!fastPath)
-        j.set("fastPath", fastPath);
     if (faults.enabled)
         j.set("faults", faults.toString());
     return j;
 }
 
 SystemConfig
-SystemConfig::fromJson(const Json &j)
+SystemConfig::fromJson(const Json &j, SystemConfig base)
 {
-    SystemConfig cfg;
+    SystemConfig cfg = std::move(base);
     bool sawVaults = false, sawNocX = false, sawNocY = false;
 
     StrictObject root(j, "");
@@ -260,7 +255,6 @@ SystemConfig::fromJson(const Json &j)
     root.key("watchdogCycles", intoUnsigned(cfg.watchdogCycles));
     root.key("fastForward", intoBool(cfg.fastForward));
     root.key("islands", intoUnsigned(cfg.islands));
-    root.key("fastPath", intoBool(cfg.fastPath));
     root.key("faults", [&cfg](const Json &v) {
         cfg.faults = FaultPlan::parse(v.asString());
     });

@@ -89,7 +89,7 @@ RunSpec::fromJson(const Json &j)
                   {"config", "programs", "pokes", "regs", "maxCycles",
                    "budgetMs"});
     if (const Json *c = j.find("config"))
-        spec.config = SystemConfig::fromJson(*c);
+        spec.config = SystemConfig::fromJson(*c, spec.config);
     if (const Json *progs = j.find("programs")) {
         for (const Json &pj : progs->asArray()) {
             rejectUnknown(pj, "programs[].", {"pe", "source"});
@@ -136,17 +136,15 @@ RunSpec::fromJson(const Json &j)
 std::uint64_t
 RunSpec::fingerprint() const
 {
-    // The budget, fast-forward and the µop fast path bound or speed up
-    // host execution, never results: hash as if each were at its
-    // default (0, on, on), so a cached success answers every setting
-    // and default-knob keys stay what they were. Islands stay keyed:
-    // under fault campaigns they may diverge (docs/INTERNALS.md,
-    // "Documented divergences").
-    if (budgetMs != 0 || !config.fastForward || !config.fastPath) {
+    // The budget and fast-forward bound or speed up host execution,
+    // never results: hash as if each were at its default (0, on), so
+    // a cached success answers every setting and default-knob keys
+    // stay what they were. Islands stay keyed: under fault campaigns
+    // they may diverge (docs/INTERNALS.md, "Documented divergences").
+    if (budgetMs != 0 || !config.fastForward) {
         RunSpec host_default = *this;
         host_default.budgetMs = 0;
         host_default.config.fastForward = true;
-        host_default.config.fastPath = true;
         return fnv1a(host_default.toJson().str());
     }
     return fnv1a(toJson().str());

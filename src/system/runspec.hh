@@ -99,7 +99,8 @@ struct RunSpec
     Json toJson() const;
 
     /**
-     * Decode a spec. `config` may be partial (see
+     * Decode a spec. `config` may be partial: its keys are decoded
+     * onto the default above, the 1-vault, 1-PE machine (see
      * SystemConfig::fromJson); unknown keys anywhere throw
      * ConfigError. Accepted shape:
      *
@@ -113,10 +114,9 @@ struct RunSpec
     /**
      * Content-address of this spec (FNV-1a over the canonical compact
      * JSON): equal fingerprints => equal specs => equal run output.
-     * budgetMs, config.fastForward and config.fastPath are excluded
-     * (hashed as if 0, on, on): they bound or speed up host
-     * execution, not results, so a cached success answers the same
-     * spec under any of them. config.islands stays keyed (fault
+     * budgetMs and config.fastForward are excluded (hashed as if 0
+     * and on): they bound or speed up host execution, not results,
+     * so a cached success answers the same spec under either. config.islands stays keyed (fault
      * campaigns may diverge across island counts).
      */
     std::uint64_t fingerprint() const;

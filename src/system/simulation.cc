@@ -39,7 +39,6 @@ Simulation::run(Cycles max_cycles, const CancelToken *cancel)
             result.hostSeconds;
     }
     result.fastForwardedCycles = sys_.fastForwardStats().skippedCycles;
-    result.fastPathEnabled = sys_.config().fastPath;
     for (unsigned pe = 0; pe < sys_.numPes(); ++pe) {
         sys_.pe(pe).fastPathGroup().visit({
             [&result](const std::string &path, std::uint64_t value,
@@ -87,7 +86,7 @@ RunResult::toJson() const
     // struct (tools/logs read them) but out of the JSON: they are
     // host-side tuning observables — fast-forward's per-island
     // aggregate differs from the serial value, and the fastpath
-    // counters differ with the fast path on vs. off — and keeping
+    // counters differ with fast-forward on vs. off — and keeping
     // either here would break the bit-identical-RunResult contract
     // equivalence_test pins.
     j.set("memRequestPoolHighWater", memRequestPoolHighWater);

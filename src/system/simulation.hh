@@ -100,16 +100,13 @@ struct RunResult
     /** Dead cycles warped over so far (0 with --no-fast-forward). */
     Cycles fastForwardedCycles = 0;
 
-    /** True when the run executed with the decoded-µop fast path. */
-    bool fastPathEnabled = false;
-
     /**
      * µop-cache / fast-path counters summed across PEs, keyed by
      * counter name ("block_runs", "fast_uops", "fallback_regs", ...)
      * — see Pe::FastPathStats. Like fastForwardedCycles these measure
      * the host-side execution strategy, live outside the system stats
      * tree, and are excluded from toJson(): RunResult JSON is
-     * identical with the fast path on or off.
+     * identical with fast-forward on or off.
      */
     std::map<std::string, std::uint64_t> fastpath;
 

@@ -143,7 +143,7 @@ VipSystem::VipSystem(const SystemConfig &cfg)
         PeConfig pe_cfg = cfg_.pe;
         pe_cfg.peId = id;
         pe_cfg.vault = id / cfg_.pesPerVault;
-        pe_cfg.fastPath = cfg_.fastPath;
+        pe_cfg.fastForward = cfg_.fastForward;
         const unsigned src_vault = pe_cfg.vault;
         pes_.push_back(std::make_unique<Pe>(
             pe_cfg, hmc_.storage(), hmc_.mapper(),
@@ -164,8 +164,6 @@ VipSystem::VipSystem(const SystemConfig &cfg)
     // tick-everything oracle (sim/clocked.hh).
     for (unsigned v = 0; v < cfg_.mem.geom.vaults; ++v)
         hmc_.vault(v).setWakeGate(cfg_.fastForward);
-    for (auto &pe : pes_)
-        pe->setWakeGate(cfg_.fastForward);
 
     if (cfg_.faults.enabled) {
         injector_ = std::make_unique<FaultInjector>(cfg_.faults);

@@ -60,10 +60,15 @@ struct SystemConfig
     Cycles watchdogCycles = 2'000'000;
 
     /**
-     * Warp over cycles in which no component can change state (see
-     * sim/clocked.hh). Exact by construction — every statistic and
-     * every byte of architectural state matches a cycle-by-cycle run —
-     * but can be disabled (--no-fast-forward) to test exactly that.
+     * The one switch between the fast machine and the oracle. On (the
+     * default): warp over cycles in which no component can change
+     * state and wake-gate stalled ticks (see sim/clocked.hh), and
+     * replay each PE's decoded-µop stream, executing stall-free basic
+     * blocks functionally in bulk (pe/decode.hh). Off
+     * (--no-fast-forward): tick every component every cycle and
+     * re-interpret every instruction. Exact by construction — every
+     * statistic and every byte of architectural state matches — so
+     * it is a host knob like islands.
      */
     bool fastForward = true;
 
@@ -76,16 +81,6 @@ struct SystemConfig
      * like fastForward, not part of the machine being modelled.
      */
     unsigned islands = 1;
-
-    /**
-     * Replay each PE's decoded-µop stream and execute stall-free basic
-     * blocks functionally in bulk (pe/decode.hh). Bit-identical to the
-     * per-cycle interpreter — a host knob like fastForward and islands
-     * — and false (--no-fast-path) keeps the interpreter as the
-     * oracle. Omitted from the JSON wire form when true, so existing
-     * RunSpec fingerprints are unchanged.
-     */
-    bool fastPath = true;
 
     /** Fault-injection campaign; disabled (and costless) by default. */
     FaultPlan faults;
@@ -101,15 +96,15 @@ struct SystemConfig
     Json toJson() const;
 
     /**
-     * Decode a config, starting from defaults: absent keys keep their
-     * default, so a request only has to name what it changes. When
+     * Decode a config onto @p base: absent keys keep their value
+     * there, so a request only has to name what it changes. When
      * "mem.geom.vaults" is given without "nocX"/"nocY" the NoC grid
      * is derived with nocDimsFor(). Unknown keys anywhere in the
      * object throw ConfigError naming the offending key — a typo'd
      * knob must not silently fall back to the default. Does not
      * validate the result; VipSystem's constructor does.
      */
-    static SystemConfig fromJson(const Json &j);
+    static SystemConfig fromJson(const Json &j, SystemConfig base);
 };
 
 /**
@@ -175,7 +170,7 @@ class VipSystem
      * tripped token stops the run at that boundary and throws
      * CancelledError / TimeoutError (sim/cancel.hh). A program fault
      * throws the ProgramError the serial machine hits first, for any
-     * island count and fast-path setting. The machine is left
+     * island count and fast-forward setting. The machine is left
      * mid-flight but destructible; the run's partial results are
      * discarded.
      */

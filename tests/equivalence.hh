@@ -1,14 +1,15 @@
 /**
  * @file
  * The knob matrix: run one workload at every valid combination of the
- * host-execution knobs — fastForward x fastPath x islands {1, 2, 4} —
- * and require each to match the oracle (the interpreter run without
- * fast-forward on one island) in every deterministic observable: the
- * final cycle count, the full RunResult JSON (the complete stats tree
- * and, under a fault plan, the fault counters) and the DRAM
- * fingerprint — or, for a run that raises a SimError, the error's kind
- * and message. Shared by equivalence_test (the workload table) and
- * property_test (the differential fuzzer over random programs).
+ * host-execution knobs — fastForward x islands {1, 2, 4} — and
+ * require each to match the oracle (fast-forward off, which also
+ * interprets every instruction, on one island) in every deterministic
+ * observable: the final cycle count, the full RunResult JSON (the
+ * complete stats tree and, under a fault plan, the fault counters) and
+ * the DRAM fingerprint — or, for a run that raises a SimError, the
+ * error's kind and message. Shared by equivalence_test (the workload
+ * table) and property_test (the differential fuzzer over random
+ * programs).
  */
 
 #ifndef VIP_TESTS_EQUIVALENCE_HH
@@ -30,7 +31,6 @@ namespace vip {
 struct Knobs
 {
     bool fastForward = false;
-    bool fastPath = false;
     unsigned islands = 1;
 };
 
@@ -38,7 +38,6 @@ inline std::string
 describe(const Knobs &k)
 {
     return std::string("fastForward=") + (k.fastForward ? "on" : "off") +
-           " fastPath=" + (k.fastPath ? "on" : "off") +
            " islands=" + std::to_string(k.islands);
 }
 
@@ -78,7 +77,6 @@ observe(SystemConfig cfg, const Knobs &k, const Drive &drive,
         Cycles budget, const Check &check = {})
 {
     cfg.fastForward = k.fastForward;
-    cfg.fastPath = k.fastPath;
     cfg.islands = k.islands;
     Simulation sim(cfg);
     drive(sim);
@@ -123,8 +121,7 @@ knobProduct(const SystemConfig &cfg)
         if (cfg.nocX % islands != 0)
             continue;
         for (const bool ff : {false, true})
-            for (const bool fast : {false, true})
-                out.push_back({ff, fast, islands});
+            out.push_back({ff, islands});
     }
     return out;
 }
@@ -132,9 +129,9 @@ knobProduct(const SystemConfig &cfg)
 /**
  * Run @p drive at every combination of knobProduct(@p cfg) and require
  * each to halt (or raise an error) and match the oracle. Also holds
- * the per-knob invariants: fast-forward off never warps, the fast path
- * off never replays. Runs @p check at every combination; returns the
- * oracle.
+ * the per-knob invariant: fast-forward off never warps and never
+ * replays decoded µops. Runs @p check at every combination; returns
+ * the oracle.
  */
 inline Observed
 expectMatchesOracle(const SystemConfig &cfg, const Drive &drive,
@@ -149,8 +146,6 @@ expectMatchesOracle(const SystemConfig &cfg, const Drive &drive,
         if (!k.fastForward) {
             EXPECT_EQ(o.skipped, 0u);
             EXPECT_EQ(o.warps, 0u);
-        }
-        if (!k.fastPath) {
             EXPECT_EQ(o.blockRuns, 0u);
             EXPECT_EQ(o.fastUops, 0u);
         }

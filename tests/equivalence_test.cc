@@ -1,15 +1,15 @@
 /**
  * @file
  * The equivalence matrix: every host optimisation — event-horizon
- * fast-forward and the wake gates riding on it (sim/clocked.hh), the
- * decoded-µop fast path (pe/decode.hh) and island sharding
- * (system/run_loop.cc) — must leave every deterministic observable
- * bit-identical to the oracle, the interpreter run without
+ * fast-forward with the wake gates (sim/clocked.hh) and the
+ * decoded-µop fast path (pe/decode.hh) that ride on it, and island
+ * sharding (system/run_loop.cc) — must leave every deterministic
+ * observable bit-identical to the oracle, the interpreter run without
  * fast-forward on one island. Each row of the table below is one
  * workload; it runs at every valid combination of fastForward x
- * fastPath x islands {1, 2, 4} (equivalence.hh) and each combination
- * is compared against the oracle. The golden column pins the oracle
- * itself, so all the strategies cannot drift together unnoticed.
+ * islands {1, 2, 4} (equivalence.hh) and each combination is compared
+ * against the oracle. The golden column pins the oracle itself, so
+ * all the strategies cannot drift together unnoticed.
  *
  * Row limits (the documented divergences, system/partition.hh): no
  * row combines NoC faults with cross-island traffic, and the fault
@@ -195,7 +195,7 @@ scalarLoop()
                 sim.loadProgram(0, b.finish());
             },
             [](Simulation &, const Observed &o) {
-                if (!o.knobs.fastPath)
+                if (!o.knobs.fastForward)
                     return;
                 EXPECT_GT(o.blockRuns, 0u);
                 // 20000 loop µops plus prologue.
@@ -393,7 +393,7 @@ tinyWatchdogSelfLoop()
             },
             [](Simulation &, const Observed &o) {
                 EXPECT_EQ(o.error, "");
-                if (o.knobs.fastPath) {
+                if (o.knobs.fastForward) {
                     EXPECT_GT(o.blockRuns, 0u);
                 }
             }};

@@ -508,10 +508,10 @@ TEST_F(PeTest, StSramRoundTripsToDram)
 
 /** Run @p prog on a fresh one-PE machine. */
 void
-runFresh(const std::vector<Instruction> &prog, bool fast_path = true)
+runFresh(const std::vector<Instruction> &prog, bool fast_forward = true)
 {
     SystemConfig cfg = makeSystemConfig(1, 1);
-    cfg.fastPath = fast_path;
+    cfg.fastForward = fast_forward;
     VipSystem sys(cfg);
     sys.pe(0).loadProgram(prog);
     sys.run(1'000'000);
@@ -521,10 +521,10 @@ runFresh(const std::vector<Instruction> &prog, bool fast_path = true)
  *  contains @p want. */
 void
 expectProgramFault(const std::vector<Instruction> &prog,
-                   const std::string &want, bool fast_path = true)
+                   const std::string &want, bool fast_forward = true)
 {
     try {
-        runFresh(prog, fast_path);
+        runFresh(prog, fast_forward);
         ADD_FAILURE() << "no program fault; wanted " << want;
     } catch (const ProgramError &e) {
         EXPECT_EQ(e.kind(), "program");

@@ -148,7 +148,7 @@ TEST(SystemConfig, JsonRoundTripIsLossless)
     cfg.fastForward = false;
 
     const SystemConfig back =
-        SystemConfig::fromJson(Json::parse(cfg.toJson().str()));
+        SystemConfig::fromJson(Json::parse(cfg.toJson().str()), {});
     EXPECT_EQ(back.toJson().str(), cfg.toJson().str());
     EXPECT_EQ(back.mem.timing.tCL, 13u);
     EXPECT_EQ(back.mem.pagePolicy, PagePolicy::Closed);
@@ -160,7 +160,7 @@ TEST(SystemConfig, FromJsonRejectsUnknownKeysWithPath)
 {
     try {
         SystemConfig::fromJson(
-            Json::parse("{\"mem\": {\"timing\": {\"tCLL\": 9}}}"));
+            Json::parse("{\"mem\": {\"timing\": {\"tCLL\": 9}}}"), {});
         FAIL() << "expected ConfigError";
     } catch (const ConfigError &e) {
         EXPECT_NE(std::string(e.what()).find("mem.timing.tCLL"),
@@ -172,11 +172,11 @@ TEST(SystemConfig, FromJsonRejectsUnknownKeysWithPath)
 TEST(SystemConfig, FromJsonDerivesNocGridFromVaults)
 {
     const SystemConfig cfg = SystemConfig::fromJson(
-        Json::parse("{\"mem\": {\"geom\": {\"vaults\": 16}}}"));
+        Json::parse("{\"mem\": {\"geom\": {\"vaults\": 16}}}"), {});
     EXPECT_EQ(cfg.nocX, 4u);
     EXPECT_EQ(cfg.nocY, 4u);
     EXPECT_THROW(SystemConfig::fromJson(Json::parse(
-                     "{\"mem\": {\"geom\": {\"vaults\": 6}}}")),
+                     "{\"mem\": {\"geom\": {\"vaults\": 6}}}"), {}),
                  ConfigError);
 }
 
@@ -306,6 +306,10 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     Json bad_spec = Json::parse("{\"config\": {\"wombats\": 3}}");
     Json bad_req = Json::object();
     bad_req.set("run", std::move(bad_spec));
+    // fastForward is the only host switch: "fastPath" is unknown.
+    const std::string fast_path =
+        R"({"run":{"config":{"fastPath":false},)"
+        R"("programs":[{"pe":0,"source":"halt\n"}]}})";
 
     // Inputs outside the machine: register r99, and a poke at 2^63.
     RunSpec bad_reg_spec = dotSpec();
@@ -321,6 +325,9 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
         R"({"run":{"programs":[{"pe":9,"source":"halt\n"}]}})";
     const std::string bad_reg_pe =
         R"({"run":{"regs":[{"pe":9,"reg":1,"value":1}]}})";
+    // A partial config keeps the spec's 1-PE default machine.
+    const std::string empty_config_pe =
+        R"({"run":{"config":{},"programs":[{"pe":1,"source":"halt\n"}]}})";
 
     const std::string requests =
         "this is not json\n" +        // parse failure
@@ -330,6 +337,8 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
         bad_poke.str() + "\n" +       // likewise
         bad_program_pe + "\n" +       // likewise
         bad_reg_pe + "\n" +           // likewise
+        fast_path + "\n" +            // ConfigError
+        empty_config_pe + "\n" +      // likewise
         req.str() + "\n";             // still served after all that
 
     VipServer server;
@@ -338,7 +347,7 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     server.serve(in, out);
 
     const std::vector<std::string> rsp = lines(out.str());
-    ASSERT_EQ(rsp.size(), 8u);
+    ASSERT_EQ(rsp.size(), 10u);
     EXPECT_EQ(Json::parse(rsp[0]).at("error").at("kind").asString(),
               "json");
     EXPECT_EQ(Json::parse(rsp[1]).at("error").at("kind").asString(),
@@ -354,7 +363,9 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
     for (const auto &[i, field] :
          {std::pair{3, "regs[].reg"}, std::pair{4, "pokes[].addr"},
           std::pair{5, "programs[].pe = 9; the machine has"},
-          std::pair{6, "regs[].pe = 9; the machine has"}}) {
+          std::pair{6, "regs[].pe = 9; the machine has"},
+          std::pair{7, "fastPath"},
+          std::pair{8, "programs[].pe = 1; the machine has 1 PEs"}}) {
         const Json doc = Json::parse(rsp[i]);
         const Json &err = doc.at("error");
         EXPECT_EQ(err.at("kind").asString(), "config");
@@ -363,14 +374,14 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
             << rsp[i];
     }
     // The loop survived and the valid request still ran.
-    EXPECT_TRUE(Json::parse(rsp[7])
+    EXPECT_TRUE(Json::parse(rsp[9])
                     .at("result")
                     .at("haltedCleanly")
                     .asBool());
-    EXPECT_EQ(server.errors(), 7u);
-    // The four out-of-machine specs parse, miss the cache and fail when
+    EXPECT_EQ(server.errors(), 9u);
+    // The five out-of-machine specs parse, miss the cache and fail when
     // the simulation is built.
-    EXPECT_EQ(server.cacheMisses(), 5u);
+    EXPECT_EQ(server.cacheMisses(), 6u);
 }
 
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
@@ -481,43 +492,6 @@ TEST(VipServer, ParallelPoolKeepsRequestOrder)
                   want_keys[i])
             << "response " << i;
     }
-}
-
-TEST(VipServer, RequestedFastPathOverridesTheDaemonDefault)
-{
-    // The daemon default applies only when the request's config omits
-    // the key: "fastPath": true must run the fast path on a daemon
-    // started with it off. Caching is off so every request runs.
-    ServeOptions opts;
-    opts.defaultFastPath = false;
-    opts.cacheEntries = 0;
-
-    Json omitted = Json::object();
-    omitted.set("run", dotSpec().toJson());
-    Json run = dotSpec().toJson();
-    Json cfg = run.at("config");
-    cfg.set("fastPath", true);
-    run.set("config", std::move(cfg));
-    Json explicit_on = Json::object();
-    explicit_on.set("run", std::move(run));
-
-    const std::string stats = "{\"cmd\": \"stats\"}\n";
-    const std::vector<std::string> rsp = serveLines(
-        omitted.str() + "\n" + stats + explicit_on.str() + "\n" + stats,
-        opts);
-    ASSERT_EQ(rsp.size(), 4u);
-    // Same fingerprint: the host knob is not part of the key.
-    EXPECT_EQ(Json::parse(rsp[0]).at("key").asString(),
-              Json::parse(rsp[2]).at("key").asString());
-    EXPECT_EQ(Json::parse(rsp[0]).at("result").str(),
-              Json::parse(rsp[2]).at("result").str());
-    auto block_runs = [](const std::string &line) -> std::uint64_t {
-        const Json stats = Json::parse(line);
-        const Json *n = stats.at("serve").at("fastpath").find("block_runs");
-        return n ? n->asU64() : 0;
-    };
-    EXPECT_EQ(block_runs(rsp[1]), 0u);
-    EXPECT_GT(block_runs(rsp[3]), 0u);
 }
 
 TEST(VipServer, ProgramFaultIsStructuredAndTheLoopSurvives)

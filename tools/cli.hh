@@ -45,7 +45,6 @@ enum Flag : unsigned
     kFastForward = 1u << 2,  ///< --no-fast-forward
     kInject = 1u << 3,       ///< --inject SPEC
     kIslands = 1u << 4,      ///< --islands N
-    kFastPath = 1u << 5,     ///< --no-fast-path
 };
 
 /** Values of the shared flags, pre-set to their defaults. */
@@ -56,7 +55,6 @@ struct CommonOptions
     bool fastForward = true;    ///< false after --no-fast-forward
     std::string injectSpec;     ///< empty = no fault campaign
     unsigned islands = 1;       ///< 1 = one island, calling thread
-    bool fastPath = true;       ///< false after --no-fast-path
 };
 
 /** Parse "N" or "0xN"; exits 2 with @p tool's name on garbage. */
@@ -109,10 +107,6 @@ consumeCommon(int argc, char **argv, int &i, unsigned flags,
         out.injectSpec = value("--inject");
         return true;
     }
-    if ((flags & kFastPath) && std::strcmp(arg, "--no-fast-path") == 0) {
-        out.fastPath = false;
-        return true;
-    }
     if ((flags & kIslands) && std::strcmp(arg, "--islands") == 0) {
         // Range/divisibility validation lives with the rest of config
         // validation (validateIslandCount, dotted-path ConfigError);
@@ -144,8 +138,6 @@ commonUsage(unsigned flags)
         add("[--islands N]");
     if (flags & kFastForward)
         add("[--no-fast-forward]");
-    if (flags & kFastPath)
-        add("[--no-fast-path]");
     return out;
 }
 
@@ -173,14 +165,11 @@ commonHelp(unsigned flags)
                "output is bit-identical)\n";
     }
     if (flags & kFastForward) {
-        out += "  --no-fast-forward   tick every cycle instead of "
-               "warping dead ones\n";
-    }
-    if (flags & kFastPath) {
-        out += "  --no-fast-path      interpret every instruction "
-               "instead of replaying\n"
-               "                      decoded µops (output is "
-               "bit-identical)\n";
+        out += "  --no-fast-forward   tick every cycle and interpret "
+               "every instruction instead\n"
+               "                      of warping dead cycles and "
+               "replaying decoded µops\n"
+               "                      (output is bit-identical)\n";
     }
     return out;
 }

@@ -34,11 +34,10 @@
  *     --islands N          shard the run across N host threads
  *                          (bit-identical results; N must divide the
  *                          NoC X dimension)
- *     --no-fast-forward    tick every cycle instead of warping over
- *                          provably dead ones (same results, slower)
- *     --no-fast-path       interpret every instruction instead of
- *                          replaying decoded µops and fast blocks
- *                          (same results, slower)
+ *     --no-fast-forward    tick every cycle and interpret every
+ *                          instruction instead of warping over
+ *                          provably dead cycles and replaying decoded
+ *                          µops (same results, slower)
  *     --strict             panic on vector timing hazards
  *
  * Campaign recovery (no source file; pairs with vip-serve --journal):
@@ -108,6 +107,10 @@ installSignalHandlers()
     std::signal(SIGTERM, onStopSignal);
 }
 
+/** The shared flags vip-run accepts. */
+constexpr unsigned kFlags = cli::kJsonStats | cli::kInject |
+                            cli::kIslands | cli::kFastForward;
+
 int
 usage()
 {
@@ -120,14 +123,7 @@ usage()
         "[--strict] [--trace]\n"
         "       | vip-run --resume JOURNAL "
         "%s\n%s",
-        cli::commonUsage(cli::kJsonStats | cli::kInject |
-                         cli::kIslands | cli::kFastForward |
-                         cli::kFastPath)
-            .c_str(),
-        cli::commonHelp(cli::kJsonStats | cli::kInject |
-                        cli::kIslands | cli::kFastForward |
-                        cli::kFastPath)
-            .c_str());
+        cli::commonUsage(kFlags).c_str(), cli::commonHelp(kFlags).c_str());
     return 2;
 }
 
@@ -186,7 +182,6 @@ specFromOptions(const Options &opt, const std::string &source)
     spec.config.pe.strictHazards = opt.strict;
     spec.config.fastForward = opt.common.fastForward;
     spec.config.islands = opt.common.islands;
-    spec.config.fastPath = opt.common.fastPath;
     if (!opt.common.injectSpec.empty())
         spec.config.faults = FaultPlan::parse(opt.common.injectSpec);
     spec.programs.push_back({0, source});
@@ -361,7 +356,7 @@ run(const Options &opt)
         // counters (Pe::FastPathStats) plus the mode that produced
         // them.
         Json fp = Json::object();
-        fp.set("enabled", result.fastPathEnabled);
+        fp.set("enabled", spec.config.fastForward);
         for (const auto &[name, value] : result.fastpath)
             fp.set(name, value);
         doc.set("fastpath", std::move(fp));
@@ -382,9 +377,6 @@ run(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    constexpr unsigned kFlags = cli::kJsonStats | cli::kInject |
-                                cli::kIslands | cli::kFastForward |
-                                cli::kFastPath;
     Options opt;
     for (int i = 1; i < argc; ++i) {
         if (cli::consumeCommon(argc, argv, i, kFlags, opt.common))

@@ -25,10 +25,6 @@
  *   --islands N  island count applied to run requests that don't set
  *                one (default 1 = serial; results are bit-identical
  *                either way, see system/partition.hh)
- *   --no-fast-path
- *                interpret every instruction on requests that don't
- *                ask otherwise (default: replay decoded µops; results
- *                are bit-identical either way, see pe/decode.hh)
  *   --cache N    result-cache capacity in entries (default 256;
  *                0 disables caching)
  *   --journal PATH
@@ -116,6 +112,9 @@ installSignalHandlers()
 #endif
 }
 
+/** The shared flags vip-serve accepts. */
+constexpr unsigned kFlags = cli::kJobs | cli::kIslands;
+
 int
 usage()
 {
@@ -131,12 +130,8 @@ usage()
                  "(crash recovery)\n"
                  "  --max-queue N       shed run requests beyond N in "
                  "flight (default 4*jobs+4)\n",
-                 cli::commonUsage(cli::kJobs | cli::kIslands |
-                                  cli::kFastPath)
-                     .c_str(),
-                 cli::commonHelp(cli::kJobs | cli::kIslands |
-                                 cli::kFastPath)
-                     .c_str());
+                 cli::commonUsage(kFlags).c_str(),
+                 cli::commonHelp(kFlags).c_str());
     return 2;
 }
 
@@ -328,10 +323,7 @@ main(int argc, char **argv)
     bool useStdin = true;
 
     for (int i = 1; i < argc; ++i) {
-        if (cli::consumeCommon(argc, argv, i,
-                               cli::kJobs | cli::kIslands |
-                                   cli::kFastPath,
-                               common))
+        if (cli::consumeCommon(argc, argv, i, kFlags, common))
             continue;
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -364,7 +356,6 @@ main(int argc, char **argv)
 
     opts.jobs = common.jobs;
     opts.defaultIslands = common.islands;
-    opts.defaultFastPath = common.fastPath;
     // Drain-then-exit on SIGINT/SIGTERM: serve() polls this between
     // request lines and returns after finishing in-flight work.
     opts.stopRequested = [] { return g_signal != 0; };
